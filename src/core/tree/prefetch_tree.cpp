@@ -21,7 +21,6 @@ PrefetchTree::PrefetchTree(TreeConfig config)
   root_ = pool_.create(kNoNode, /*block=*/0);
   pool_.hot(root_).weight = 0;  // root counts substrings, none seen yet
   current_ = root_;
-  leaf_lru_.resize(16);
 }
 
 PrefetchTree::PrefetchTree(const PrefetchTree& other)
@@ -72,15 +71,26 @@ PrefetchTree& PrefetchTree::operator=(PrefetchTree&& other) noexcept {
 }
 
 void PrefetchTree::touch(NodeId id) {
-  if (leaf_lru_.contains(id)) {
+  if (bounded() && leaf_lru_.contains(id)) {
     leaf_lru_.touch(id);
   }
 }
 
-void PrefetchTree::on_becomes_interior(NodeId id) {
-  if (leaf_lru_.contains(id)) {
-    leaf_lru_.erase(id);
+void PrefetchTree::track_new_leaf(NodeId added) {
+  if (!bounded()) {
+    return;
   }
+  if (leaf_lru_.capacity() <= added) {
+    leaf_lru_.resize(pool_.id_bound() * 2 + 16);
+  }
+  // A parent whose only child is `added` was a leaf until now; interior
+  // nodes are not evictable.
+  const NodeId parent = pool_.parent(added);
+  if (parent != root_ && pool_.child_count(parent) == 1 &&
+      leaf_lru_.contains(parent)) {
+    leaf_lru_.erase(parent);
+  }
+  leaf_lru_.push_front(added);
 }
 
 void PrefetchTree::evict_one_leaf() {
@@ -146,20 +156,12 @@ AccessInfo PrefetchTree::access(BlockId block) {
   }
 
   info.new_node = true;
-  const bool parent_was_leaf =
-      current_ != root_ && pool_.child_count(current_) == 0;
   const NodeId added = pool_.create(current_, block);
-  if (leaf_lru_.capacity() <= added) {
-    leaf_lru_.resize(pool_.id_bound() * 2 + 16);
-  }
-  if (parent_was_leaf) {
-    on_becomes_interior(current_);
-  }
-  leaf_lru_.push_front(added);
+  track_new_leaf(added);
   pool_.set_last_visited_child(current_, added);
   current_ = root_;
 
-  if (config_.max_nodes != 0) {
+  if (bounded()) {
     while (pool_.live_nodes() > config_.max_nodes) {
       const std::size_t before = pool_.live_nodes();
       evict_one_leaf();
@@ -197,7 +199,9 @@ void PrefetchTree::audit() const {
       current_reachable = true;
     }
     const bool is_leaf = pool_.child_count(id) == 0 && id != root_;
-    PFP_AUDIT("PrefetchTree", leaf_lru_.contains(id) == is_leaf,
+    PFP_AUDIT("PrefetchTree",
+              bounded() ? leaf_lru_.contains(id) == is_leaf
+                        : leaf_lru_.empty(),
               "leaf-LRU membership disagrees with leaf status");
     PFP_AUDIT("PrefetchTree",
               pool_.children_epoch(id) <= pool_.current_epoch(),

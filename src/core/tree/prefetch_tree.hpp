@@ -161,15 +161,19 @@ class PrefetchTree {
   /// the leaf-LRU bookkeeping consistent.  Children must be restored in
   /// descending-weight order (the serialized order).
   NodeId restore_child(NodeId parent, BlockId block, std::uint64_t weight);
+  /// Only bounded trees evict, so only they keep the leaf LRU.
+  [[nodiscard]] bool bounded() const noexcept { return config_.max_nodes != 0; }
   void touch(NodeId id);
-  void on_becomes_interior(NodeId id);
+  /// Leaf-LRU bookkeeping for a just-created node (bounded trees only).
+  void track_new_leaf(NodeId added);
   void evict_one_leaf();
 
   TreeConfig config_;
   NodePool pool_;
   NodeId root_;
   NodeId current_;
-  /// LRU over *leaf* nodes only; interior nodes are not evictable.
+  /// LRU over *leaf* nodes only; interior nodes are not evictable.  Empty
+  /// on unbounded trees.
   util::LruList leaf_lru_;
   std::uint64_t uid_;
   std::uint64_t access_serial_ = 0;

@@ -9,9 +9,11 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/tree/prefetch_tree.hpp"
+#include "util/binary_io.hpp"
 
 namespace pfp::core::tree {
 
@@ -20,51 +22,6 @@ namespace {
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'T', 'R'};
 constexpr std::uint16_t kVersion = 1;
 
-void write_u16(std::ostream& out, std::uint16_t v) {
-  out.put(static_cast<char>(v & 0xff));
-  out.put(static_cast<char>((v >> 8) & 0xff));
-}
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-std::uint16_t read_u16(std::istream& in) {
-  std::array<unsigned char, 2> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::array<unsigned char, 8> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
 [[noreturn]] void corrupt(const char* what) {
   throw std::runtime_error(std::string("prefetch-tree stream: ") + what);
 }
@@ -72,39 +29,39 @@ std::uint64_t read_u64(std::istream& in) {
 }  // namespace
 
 void PrefetchTree::serialize(std::ostream& out) const {
-  out.write(kMagic.data(), kMagic.size());
-  write_u16(out, kVersion);
-  write_u64(out, node_count());
+  // The image is built in memory and written with one call: a put per
+  // byte costs more than the walk itself on trees of 100K+ nodes.
+  constexpr std::size_t kHeaderBytes = kMagic.size() + 2 + 8;
+  constexpr std::size_t kRootBytes = 8 + 4;
+  constexpr std::size_t kNodeBytes = 8 + 8 + 4;
+  std::string image;
+  image.reserve(kHeaderBytes + kRootBytes + (node_count() - 1) * kNodeBytes);
+  image.append(kMagic.data(), kMagic.size());
+  util::append_u16(image, kVersion);
+  util::append_u64(image, node_count());
 
   // Preorder via explicit stack (trees can be deep on long traces).
-  write_u64(out, node(root()).weight);
-  write_u32(out, static_cast<std::uint32_t>(children(root()).size()));
+  util::append_u64(image, node(root()).weight);
+  util::append_u32(image, static_cast<std::uint32_t>(children(root()).size()));
   std::vector<NodeId> stack(children(root()).rbegin(),
                             children(root()).rend());
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    write_u64(out, pool_.block(id));
-    write_u64(out, pool_.weight(id));
+    util::append_u64(image, pool_.block(id));
+    util::append_u64(image, pool_.weight(id));
     const auto kids = pool_.children(id);
-    write_u32(out, static_cast<std::uint32_t>(kids.size()));
+    util::append_u32(image, static_cast<std::uint32_t>(kids.size()));
     stack.insert(stack.end(), kids.rbegin(), kids.rend());
   }
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
 }
 
 NodeId PrefetchTree::restore_child(NodeId parent, BlockId block,
                                    std::uint64_t weight) {
-  const bool parent_was_leaf =
-      parent != root_ && pool_.child_count(parent) == 0;
   const NodeId added = pool_.create(parent, block);
   pool_.hot(added).weight = weight;
-  if (leaf_lru_.capacity() <= added) {
-    leaf_lru_.resize(pool_.id_bound() * 2 + 16);
-  }
-  if (parent_was_leaf) {
-    on_becomes_interior(parent);
-  }
-  leaf_lru_.push_front(added);
+  track_new_leaf(added);
   return added;
 }
 
@@ -114,17 +71,17 @@ PrefetchTree PrefetchTree::deserialize(std::istream& in, TreeConfig config) {
   if (!in || magic != kMagic) {
     corrupt("bad magic");
   }
-  if (read_u16(in) != kVersion) {
+  if (util::read_u16(in) != kVersion) {
     corrupt("unsupported version");
   }
-  const std::uint64_t expected_nodes = read_u64(in);
+  const std::uint64_t expected_nodes = util::read_u64(in);
   if (!in || expected_nodes == 0) {
     corrupt("truncated header");
   }
 
   PrefetchTree tree(config);
-  tree.pool_.hot(tree.root_).weight = read_u64(in);
-  const std::uint32_t root_children = read_u32(in);
+  tree.pool_.hot(tree.root_).weight = util::read_u64(in);
+  const std::uint32_t root_children = util::read_u32(in);
 
   struct Pending {
     NodeId parent;
@@ -142,9 +99,9 @@ PrefetchTree PrefetchTree::deserialize(std::istream& in, TreeConfig config) {
       continue;
     }
     --top.remaining;
-    const BlockId block = read_u64(in);
-    const std::uint64_t weight = read_u64(in);
-    const std::uint32_t child_count = read_u32(in);
+    const BlockId block = util::read_u64(in);
+    const std::uint64_t weight = util::read_u64(in);
+    const std::uint32_t child_count = util::read_u32(in);
     if (!in) {
       corrupt("truncated body");
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -11,6 +10,7 @@
 
 #include "core/policy/dispatch.hpp"
 #include "util/assert.hpp"
+#include "util/binary_io.hpp"
 
 namespace pfp::engine {
 
@@ -48,7 +48,7 @@ struct Virtual {
   }
 };
 
-// --- snapshot stream helpers (little-endian, like core/tree/serialize) --
+// --- snapshot stream format (little-endian, util/binary_io.hpp) --------
 
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'E', 'G'};
 // v1: residency + metrics + a tree-or-nothing predictor flag byte.
@@ -59,59 +59,6 @@ constexpr std::uint16_t kVersion = 2;
 // simulator approaches 1 GiB, so anything larger is a corrupt stream,
 // not a big model — reject before trying to allocate it.
 constexpr std::uint64_t kMaxPredictorBlobBytes = 1ull << 30;
-
-void write_u16(std::ostream& out, std::uint16_t v) {
-  out.put(static_cast<char>(v & 0xff));
-  out.put(static_cast<char>((v >> 8) & 0xff));
-}
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void write_f64(std::ostream& out, double v) {
-  write_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint16_t read_u16(std::istream& in) {
-  std::array<unsigned char, 2> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::array<unsigned char, 8> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-double read_f64(std::istream& in) {
-  return std::bit_cast<double>(read_u64(in));
-}
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw std::runtime_error("engine snapshot stream: " + what);
@@ -406,63 +353,63 @@ void PrefetchEngine::run_trace(const trace::Trace& trace) {
 
 void PrefetchEngine::snapshot(std::ostream& out) const {
   out.write(kMagic.data(), kMagic.size());
-  write_u16(out, kVersion);
-  write_u64(out, config_.cache_blocks);
+  util::write_u16(out, kVersion);
+  util::write_u64(out, config_.cache_blocks);
 
-  write_u64(out, metrics_.accesses);
-  write_u64(out, metrics_.demand_hits);
-  write_u64(out, metrics_.prefetch_hits);
-  write_u64(out, metrics_.misses);
-  write_f64(out, metrics_.elapsed_ms);
-  write_f64(out, metrics_.stall_ms);
-  write_f64(out, metrics_.disk_queue_delay_ms);
-  write_u64(out, metrics_.disk_requests);
+  util::write_u64(out, metrics_.accesses);
+  util::write_u64(out, metrics_.demand_hits);
+  util::write_u64(out, metrics_.prefetch_hits);
+  util::write_u64(out, metrics_.misses);
+  util::write_f64(out, metrics_.elapsed_ms);
+  util::write_f64(out, metrics_.stall_ms);
+  util::write_f64(out, metrics_.disk_queue_delay_ms);
+  util::write_u64(out, metrics_.disk_requests);
 
   const auto& p = metrics_.policy;
-  write_u64(out, p.prefetches_issued);
-  write_u64(out, p.obl_prefetches_issued);
-  write_u64(out, p.tree_prefetches_issued);
-  write_f64(out, p.sum_prefetch_probability);
-  write_u64(out, p.candidates_chosen);
-  write_u64(out, p.candidates_already_cached);
-  write_u64(out, p.prefetch_ejections);
-  write_u64(out, p.demand_ejections);
-  write_u64(out, p.predictable);
-  write_u64(out, p.predictable_uncached);
-  write_u64(out, p.lvc_opportunities);
-  write_u64(out, p.lvc_followed);
-  write_u64(out, p.lvc_checks);
-  write_u64(out, p.lvc_cached);
-  write_u64(out, p.tree_nodes);
-  write_u64(out, p.tree_bytes);
+  util::write_u64(out, p.prefetches_issued);
+  util::write_u64(out, p.obl_prefetches_issued);
+  util::write_u64(out, p.tree_prefetches_issued);
+  util::write_f64(out, p.sum_prefetch_probability);
+  util::write_u64(out, p.candidates_chosen);
+  util::write_u64(out, p.candidates_already_cached);
+  util::write_u64(out, p.prefetch_ejections);
+  util::write_u64(out, p.demand_ejections);
+  util::write_u64(out, p.predictable);
+  util::write_u64(out, p.predictable_uncached);
+  util::write_u64(out, p.lvc_opportunities);
+  util::write_u64(out, p.lvc_followed);
+  util::write_u64(out, p.lvc_checks);
+  util::write_u64(out, p.lvc_cached);
+  util::write_u64(out, p.tree_nodes);
+  util::write_u64(out, p.tree_bytes);
 
   const auto demand_blocks = cache_.demand().blocks_lru_to_mru();
-  write_u64(out, demand_blocks.size());
+  util::write_u64(out, demand_blocks.size());
   for (const trace::BlockId block : demand_blocks) {
-    write_u64(out, block);
+    util::write_u64(out, block);
   }
 
   const auto prefetch_entries = cache_.prefetch().entries();
-  write_u64(out, prefetch_entries.size());
+  util::write_u64(out, prefetch_entries.size());
   for (const cache::PrefetchEntry& entry : prefetch_entries) {
-    write_u64(out, entry.block);
-    write_f64(out, entry.probability);
-    write_u32(out, entry.depth);
-    write_f64(out, entry.eject_cost);
+    util::write_u64(out, entry.block);
+    util::write_f64(out, entry.probability);
+    util::write_u32(out, entry.depth);
+    util::write_f64(out, entry.eject_cost);
     out.put(entry.obl ? '\1' : '\0');
-    write_u64(out, entry.issued_period);
-    write_f64(out, entry.completion_ms);
+    util::write_u64(out, entry.issued_period);
+    util::write_f64(out, entry.completion_ms);
   }
 
   // Predictor state rides as an opaque, length-prefixed blob keyed by the
   // policy's FourCC tag — the engine never learns the family's format.
   const std::uint32_t tag = policy_->predictor_state_tag();
-  write_u32(out, tag);
+  util::write_u32(out, tag);
   if (tag != core::policy::kPredictorNone) {
     std::ostringstream blob;
     policy_->save_predictor_state(blob);
     const std::string bytes = std::move(blob).str();
-    write_u64(out, bytes.size());
+    util::write_u64(out, bytes.size());
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 }
@@ -478,48 +425,48 @@ void PrefetchEngine::restore(std::istream& in) {
   if (!in || magic != kMagic) {
     corrupt("bad magic");
   }
-  const std::uint16_t version = read_u16(in);
+  const std::uint16_t version = util::read_u16(in);
   if (version != 1 && version != 2) {
     corrupt("unsupported version");
   }
-  if (read_u64(in) != config_.cache_blocks) {
+  if (util::read_u64(in) != config_.cache_blocks) {
     corrupt("cache_blocks mismatch with the configured engine");
   }
 
   Metrics restored;
-  restored.accesses = read_u64(in);
-  restored.demand_hits = read_u64(in);
-  restored.prefetch_hits = read_u64(in);
-  restored.misses = read_u64(in);
-  restored.elapsed_ms = read_f64(in);
-  restored.stall_ms = read_f64(in);
-  restored.disk_queue_delay_ms = read_f64(in);
-  restored.disk_requests = read_u64(in);
+  restored.accesses = util::read_u64(in);
+  restored.demand_hits = util::read_u64(in);
+  restored.prefetch_hits = util::read_u64(in);
+  restored.misses = util::read_u64(in);
+  restored.elapsed_ms = util::read_f64(in);
+  restored.stall_ms = util::read_f64(in);
+  restored.disk_queue_delay_ms = util::read_f64(in);
+  restored.disk_requests = util::read_u64(in);
 
   auto& p = restored.policy;
-  p.prefetches_issued = read_u64(in);
-  p.obl_prefetches_issued = read_u64(in);
-  p.tree_prefetches_issued = read_u64(in);
-  p.sum_prefetch_probability = read_f64(in);
-  p.candidates_chosen = read_u64(in);
-  p.candidates_already_cached = read_u64(in);
-  p.prefetch_ejections = read_u64(in);
-  p.demand_ejections = read_u64(in);
-  p.predictable = read_u64(in);
-  p.predictable_uncached = read_u64(in);
-  p.lvc_opportunities = read_u64(in);
-  p.lvc_followed = read_u64(in);
-  p.lvc_checks = read_u64(in);
-  p.lvc_cached = read_u64(in);
-  p.tree_nodes = read_u64(in);
-  p.tree_bytes = read_u64(in);
+  p.prefetches_issued = util::read_u64(in);
+  p.obl_prefetches_issued = util::read_u64(in);
+  p.tree_prefetches_issued = util::read_u64(in);
+  p.sum_prefetch_probability = util::read_f64(in);
+  p.candidates_chosen = util::read_u64(in);
+  p.candidates_already_cached = util::read_u64(in);
+  p.prefetch_ejections = util::read_u64(in);
+  p.demand_ejections = util::read_u64(in);
+  p.predictable = util::read_u64(in);
+  p.predictable_uncached = util::read_u64(in);
+  p.lvc_opportunities = util::read_u64(in);
+  p.lvc_followed = util::read_u64(in);
+  p.lvc_checks = util::read_u64(in);
+  p.lvc_cached = util::read_u64(in);
+  p.tree_nodes = util::read_u64(in);
+  p.tree_bytes = util::read_u64(in);
 
-  const std::uint64_t demand_count = read_u64(in);
+  const std::uint64_t demand_count = util::read_u64(in);
   if (!in || demand_count > config_.cache_blocks) {
     corrupt("demand residency exceeds the buffer pool");
   }
   for (std::uint64_t i = 0; i < demand_count; ++i) {
-    const trace::BlockId block = read_u64(in);
+    const trace::BlockId block = util::read_u64(in);
     if (!in) {
       corrupt("truncated demand residency list");
     }
@@ -529,19 +476,19 @@ void PrefetchEngine::restore(std::istream& in) {
     cache_.admit_demand(block);
   }
 
-  const std::uint64_t prefetch_count = read_u64(in);
+  const std::uint64_t prefetch_count = util::read_u64(in);
   if (!in || demand_count + prefetch_count > config_.cache_blocks) {
     corrupt("residency exceeds the buffer pool");
   }
   for (std::uint64_t i = 0; i < prefetch_count; ++i) {
     cache::PrefetchEntry entry;
-    entry.block = read_u64(in);
-    entry.probability = read_f64(in);
-    entry.depth = read_u32(in);
-    entry.eject_cost = read_f64(in);
+    entry.block = util::read_u64(in);
+    entry.probability = util::read_f64(in);
+    entry.depth = util::read_u32(in);
+    entry.eject_cost = util::read_f64(in);
     entry.obl = in.get() == '\1';
-    entry.issued_period = read_u64(in);
-    entry.completion_ms = read_f64(in);
+    entry.issued_period = util::read_u64(in);
+    entry.completion_ms = util::read_f64(in);
     if (!in) {
       corrupt("truncated prefetch residency list");
     }
@@ -569,7 +516,7 @@ void PrefetchEngine::restore(std::istream& in) {
       }
     }
   } else {
-    const std::uint32_t tag = read_u32(in);
+    const std::uint32_t tag = util::read_u32(in);
     if (!in) {
       corrupt("truncated predictor tag");
     }
@@ -581,7 +528,7 @@ void PrefetchEngine::restore(std::istream& in) {
               core::policy::predictor_tag_name(live_tag));
     }
     if (tag != core::policy::kPredictorNone) {
-      const std::uint64_t blob_bytes = read_u64(in);
+      const std::uint64_t blob_bytes = util::read_u64(in);
       if (!in || blob_bytes > kMaxPredictorBlobBytes) {
         corrupt("implausible predictor blob length");
       }

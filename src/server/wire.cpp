@@ -3,32 +3,13 @@
 #include <bit>
 #include <cstring>
 
+#include "util/binary_io.hpp"
+
 namespace pfp::server::wire {
 
 namespace {
 
 constexpr std::size_t kMaxTenantName = 255;
-
-/// Little-endian u16/u32/u64 reads from a raw pointer (bounds already
-/// checked by the caller).
-std::uint16_t load_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
 
 bool known_type(std::uint8_t t) {
   switch (static_cast<MsgType>(t)) {
@@ -121,9 +102,9 @@ DecodeResult decode(std::span<const std::uint8_t> buf) {
   FrameHeader header;
   header.type = static_cast<MsgType>(buf[4]);
   header.flags = buf[5];
-  header.tenant = load_u16(buf.data() + 6);
-  header.payload_len = load_u32(buf.data() + 8);
-  header.serial = load_u32(buf.data() + 12);
+  header.tenant = util::load_le<std::uint16_t>(buf.data() + 6);
+  header.payload_len = util::load_le<std::uint32_t>(buf.data() + 8);
+  header.serial = util::load_le<std::uint32_t>(buf.data() + 12);
   if (header.payload_len > kMaxPayload) {
     // The framing itself is intact but the declared length is beyond
     // anything this protocol produces; skipping it would stall the
@@ -165,26 +146,19 @@ void append_frame(std::vector<std::uint8_t>& out, const FrameHeader& header,
 }
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
+  util::append_u16(out, v);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  util::append_u32(out, v);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  util::append_u64(out, v);
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+  util::append_f64(out, v);
 }
 
 void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
@@ -204,7 +178,7 @@ std::uint16_t Reader::read_u16() {
   if (!take(2)) {
     return 0;
   }
-  const std::uint16_t v = load_u16(data_.data() + pos_);
+  const std::uint16_t v = util::load_le<std::uint16_t>(data_.data() + pos_);
   pos_ += 2;
   return v;
 }
@@ -213,7 +187,7 @@ std::uint32_t Reader::read_u32() {
   if (!take(4)) {
     return 0;
   }
-  const std::uint32_t v = load_u32(data_.data() + pos_);
+  const std::uint32_t v = util::load_le<std::uint32_t>(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
@@ -222,7 +196,7 @@ std::uint64_t Reader::read_u64() {
   if (!take(8)) {
     return 0;
   }
-  const std::uint64_t v = load_u64(data_.data() + pos_);
+  const std::uint64_t v = util::load_le<std::uint64_t>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }

@@ -13,9 +13,9 @@
 //     12      4     serial (u32; echoed verbatim in the reply)
 //
 // followed by `payload length` bytes of type-specific payload.  All
-// integers are little-endian; doubles travel as bit-cast u64 (the same
-// dialect as util/binary_io.hpp, but over byte spans instead of
-// iostreams so the decoder can run zero-copy inside the event loop).
+// integers are little-endian; doubles travel as bit-cast u64 (the codec
+// of util/binary_io.hpp, over byte spans instead of iostreams so the
+// decoder can run zero-copy inside the event loop).
 //
 // Error handling is typed and total: a malformed header (bad magic /
 // version / oversized length) is connection-fatal — the server replies

@@ -1,24 +1,10 @@
 #include "trace/gen_fileserver.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/assert.hpp"
-#include "util/prng.hpp"
-#include "util/zipf.hpp"
 
 namespace pfp::trace {
-
-namespace {
-
-struct ClientState {
-  std::uint64_t file = 0;
-  std::uint64_t position = 0;
-  std::uint64_t limit = 0;
-  bool open = false;
-};
-
-}  // namespace
 
 FileServerGenerator::FileServerGenerator(Config config) : config_(config) {
   PFP_REQUIRE(config_.files >= 1);
@@ -26,57 +12,58 @@ FileServerGenerator::FileServerGenerator(Config config) : config_(config) {
   PFP_REQUIRE(config_.max_file_blocks >= 1);
 }
 
-Trace FileServerGenerator::generate() const {
-  util::Xoshiro256 rng(config_.seed);
-
-  std::vector<std::uint64_t> file_size(config_.files);
-  std::vector<std::uint64_t> file_base(config_.files);
+FileServerGenerator::Source::Source(const Config& config)
+    : config_(config),
+      rng_(config.seed),
+      file_size_(config.files),
+      file_base_(config.files),
+      pick_file_(config.files, config.popularity_skew),
+      pick_meta_(config.metadata_blocks, config.metadata_skew),
+      clients_(config.clients) {
   std::uint64_t next_base = config_.metadata_blocks;
   for (std::uint64_t f = 0; f < config_.files; ++f) {
-    const double raw = rng.lognormal(config_.size_mu, config_.size_sigma);
+    const double raw = rng_.lognormal(config_.size_mu, config_.size_sigma);
     const auto blocks = std::clamp<std::uint64_t>(
         static_cast<std::uint64_t>(raw) + 1, 1, config_.max_file_blocks);
-    file_size[f] = blocks;
-    file_base[f] = next_base;
+    file_size_[f] = blocks;
+    file_base_[f] = next_base;
     next_base += blocks;
   }
+}
 
-  const util::ZipfSampler pick_file(config_.files, config_.popularity_skew);
-  const util::ZipfSampler pick_meta(config_.metadata_blocks,
-                                    config_.metadata_skew);
+TraceRecord FileServerGenerator::Source::next() {
+  if (rng_.bernoulli(config_.switch_prob)) {
+    current_ = static_cast<std::uint32_t>(rng_.below(config_.clients));
+  }
+  ClientState& st = clients_[current_];
+  if (!st.open) {
+    st.file = pick_file_(rng_);
+    st.position = 0;
+    st.limit = file_size_[st.file];
+    if (rng_.bernoulli(config_.partial_read_prob) && st.limit > 1) {
+      st.limit = 1 + rng_.below(st.limit);
+    }
+    st.open = true;
+    return TraceRecord{pick_meta_(rng_), current_};  // lookup before data
+  }
+  if (rng_.bernoulli(config_.metadata_prob)) {
+    return TraceRecord{pick_meta_(rng_), current_};
+  }
+  const BlockId block = file_base_[st.file] + st.position;
+  ++st.position;
+  if (st.position >= st.limit) {
+    st.open = false;
+  }
+  return TraceRecord{block, current_};
+}
 
-  std::vector<ClientState> clients(config_.clients);
-  std::uint32_t current = 0;
-
+Trace FileServerGenerator::generate() const {
+  Source source(config_);
   Trace trace("snake-raw");
   trace.reserve(config_.references);
-  while (trace.size() < config_.references) {
-    if (rng.bernoulli(config_.switch_prob)) {
-      current = static_cast<std::uint32_t>(rng.below(config_.clients));
-    }
-    ClientState& st = clients[current];
-    if (!st.open) {
-      st.file = pick_file(rng);
-      st.position = 0;
-      st.limit = file_size[st.file];
-      if (rng.bernoulli(config_.partial_read_prob) && st.limit > 1) {
-        st.limit = 1 + rng.below(st.limit);
-      }
-      st.open = true;
-      trace.append(pick_meta(rng), current);  // lookup before data
-      continue;
-    }
-    if (rng.bernoulli(config_.metadata_prob)) {
-      trace.append(pick_meta(rng), current);
-      continue;
-    }
-    trace.append(file_base[st.file] + st.position, current);
-    ++st.position;
-    if (st.position >= st.limit) {
-      st.open = false;
-    }
+  for (std::uint64_t i = 0; i < config_.references; ++i) {
+    trace.push_back(source.next());
   }
-  trace.truncate(config_.references);
   return trace;
 }
 

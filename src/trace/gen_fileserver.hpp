@@ -10,12 +10,15 @@
 //
 // The generator emits an application-level stream of many client mounts
 // reading whole files with Zipf popularity, plus metadata traffic; the
-// workload factory filters it through trace::L1Filter(5 MB).
+// workload factory streams it through trace::L1Filter(5 MB).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "trace/trace.hpp"
+#include "util/prng.hpp"
+#include "util/zipf.hpp"
 
 namespace pfp::trace {
 
@@ -39,8 +42,37 @@ class FileServerGenerator {
     double metadata_skew = 1.1;
   };
 
+  /// The record loop as a pull source: each next() is one loop iteration
+  /// and emits exactly one raw record.  The stream never depends on
+  /// Config::references, so any prefix of it is the generate() output of
+  /// that length.
+  class Source {
+   public:
+    explicit Source(const Config& config);
+
+    TraceRecord next();
+
+   private:
+    struct ClientState {
+      std::uint64_t file = 0;
+      std::uint64_t position = 0;
+      std::uint64_t limit = 0;
+      bool open = false;
+    };
+
+    Config config_;
+    util::Xoshiro256 rng_;
+    std::vector<std::uint64_t> file_size_;
+    std::vector<std::uint64_t> file_base_;
+    util::ZipfSampler pick_file_;
+    util::ZipfSampler pick_meta_;
+    std::vector<ClientState> clients_;
+    std::uint32_t current_ = 0;
+  };
+
   explicit FileServerGenerator(Config config);
 
+  /// The first Config::references records of Source(config()).
   [[nodiscard]] Trace generate() const;
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }

@@ -1,28 +1,8 @@
 #include "trace/gen_timeshare.hpp"
 
-#include <vector>
-
 #include "util/assert.hpp"
-#include "util/prng.hpp"
-#include "util/zipf.hpp"
 
 namespace pfp::trace {
-
-namespace {
-
-struct PastRun {
-  std::uint64_t start = 0;
-  std::uint64_t length = 0;
-};
-
-struct ProcessState {
-  std::uint64_t run_block = 0;   ///< next block of the current seq. run
-  std::uint64_t run_remaining = 0;
-  std::vector<PastRun> history;  ///< ring buffer of completed runs
-  std::size_t history_next = 0;
-};
-
-}  // namespace
 
 TimeshareGenerator::TimeshareGenerator(Config config) : config_(config) {
   PFP_REQUIRE(config_.processes >= 1);
@@ -32,80 +12,75 @@ TimeshareGenerator::TimeshareGenerator(Config config) : config_(config) {
   PFP_REQUIRE(config_.run_mean >= 1.0);
 }
 
-Trace TimeshareGenerator::generate() const {
-  util::Xoshiro256 rng(config_.seed);
+// Address-space layout (block numbers):
+//   [0, shared)                          shared libraries / system files
+//   [shared, shared + P*private)         per-process private regions
+//   [data_end, data_end + cold)          cold, effectively touch-once
+TimeshareGenerator::Source::Source(const Config& config)
+    : config_(config),
+      rng_(config.seed),
+      private_base_(config.shared_blocks),
+      cold_base_(private_base_ + static_cast<std::uint64_t>(config.processes) *
+                                     config.private_blocks),
+      pick_process_(config.processes, config.process_skew),
+      pick_private_(config.private_blocks, config.private_skew),
+      pick_shared_(config.shared_blocks, config.shared_skew),
+      procs_(config.processes) {}
 
-  // Address-space layout (block numbers):
-  //   [0, shared)                          shared libraries / system files
-  //   [shared, shared + P*private)         per-process private regions
-  //   [data_end, data_end + cold)          cold, effectively touch-once
-  const std::uint64_t shared_base = 0;
-  const std::uint64_t private_base = config_.shared_blocks;
-  const std::uint64_t cold_base =
-      private_base + static_cast<std::uint64_t>(config_.processes) *
-                         config_.private_blocks;
+TraceRecord TimeshareGenerator::Source::next() {
+  if (burst_remaining_ == 0) {
+    proc_ = static_cast<std::uint32_t>(pick_process_(rng_));
+    burst_remaining_ = 1 + rng_.poisson(config_.burst_mean - 1.0);
+  }
+  --burst_remaining_;
+  ProcessState& st = procs_[proc_];
 
-  const util::ZipfSampler pick_process(config_.processes,
-                                       config_.process_skew);
-  const util::ZipfSampler pick_private(config_.private_blocks,
-                                       config_.private_skew);
-  const util::ZipfSampler pick_shared(config_.shared_blocks,
-                                      config_.shared_skew);
-
-  std::vector<ProcessState> procs(config_.processes);
-
-  Trace trace("cello-raw");
-  trace.reserve(config_.references);
-
-  std::uint32_t proc = 0;
-  std::uint64_t burst_remaining = 0;
-  while (trace.size() < config_.references) {
-    if (burst_remaining == 0) {
-      proc = static_cast<std::uint32_t>(pick_process(rng));
-      burst_remaining = 1 + rng.poisson(config_.burst_mean - 1.0);
-    }
-    --burst_remaining;
-    ProcessState& st = procs[proc];
-
-    const double roll = rng.uniform();
-    BlockId block;
-    if (roll < config_.p_private) {
-      block = private_base +
-              static_cast<std::uint64_t>(proc) * config_.private_blocks +
-              pick_private(rng);
-    } else if (roll < config_.p_private + config_.p_shared) {
-      block = shared_base + pick_shared(rng);
-    } else if (roll < config_.p_private + config_.p_shared +
-                          config_.p_sequential) {
-      if (st.run_remaining == 0) {
-        // Start a sequential run: usually a cold file read through space
-        // the first-level cache has never seen, but with rerun_prob a
-        // re-read of an earlier run — repetition at distances far beyond
-        // the L1 filter, the source of the residual predictability.
-        if (!st.history.empty() && rng.bernoulli(config_.rerun_prob)) {
-          const PastRun& past = st.history[rng.below(st.history.size())];
-          st.run_block = past.start;
-          st.run_remaining = past.length;
+  const double roll = rng_.uniform();
+  BlockId block;
+  if (roll < config_.p_private) {
+    block = private_base_ +
+            static_cast<std::uint64_t>(proc_) * config_.private_blocks +
+            pick_private_(rng_);
+  } else if (roll < config_.p_private + config_.p_shared) {
+    block = pick_shared_(rng_);
+  } else if (roll < config_.p_private + config_.p_shared +
+                        config_.p_sequential) {
+    if (st.run_remaining == 0) {
+      // Start a sequential run: usually a cold file read through space
+      // the first-level cache has never seen, but with rerun_prob a
+      // re-read of an earlier run — repetition at distances far beyond
+      // the L1 filter, the source of the residual predictability.
+      if (!st.history.empty() && rng_.bernoulli(config_.rerun_prob)) {
+        const PastRun& past = st.history[rng_.below(st.history.size())];
+        st.run_block = past.start;
+        st.run_remaining = past.length;
+      } else {
+        st.run_block = cold_base_ + rng_.below(config_.cold_blocks);
+        st.run_remaining = 1 + rng_.poisson(config_.run_mean - 1.0);
+        const PastRun run{st.run_block, st.run_remaining};
+        if (st.history.size() < config_.run_history) {
+          st.history.push_back(run);
         } else {
-          st.run_block = cold_base + rng.below(config_.cold_blocks);
-          st.run_remaining = 1 + rng.poisson(config_.run_mean - 1.0);
-          const PastRun run{st.run_block, st.run_remaining};
-          if (st.history.size() < config_.run_history) {
-            st.history.push_back(run);
-          } else {
-            st.history[st.history_next] = run;
-            st.history_next = (st.history_next + 1) % st.history.size();
-          }
+          st.history[st.history_next] = run;
+          st.history_next = (st.history_next + 1) % st.history.size();
         }
       }
-      block = st.run_block++;
-      --st.run_remaining;
-    } else {
-      block = cold_base + rng.below(config_.cold_blocks);
     }
-    trace.append(block, proc);
+    block = st.run_block++;
+    --st.run_remaining;
+  } else {
+    block = cold_base_ + rng_.below(config_.cold_blocks);
   }
-  trace.truncate(config_.references);
+  return TraceRecord{block, proc_};
+}
+
+Trace TimeshareGenerator::generate() const {
+  Source source(config_);
+  Trace trace("cello-raw");
+  trace.reserve(config_.references);
+  for (std::uint64_t i = 0; i < config_.references; ++i) {
+    trace.push_back(source.next());
+  }
   return trace;
 }
 

@@ -11,13 +11,16 @@
 //
 // The generator emits the *application-level* stream of many interleaved
 // processes — private working-set reuse, shared-region reuse, sequential
-// runs and cold scans — and the workload factory replays it through
+// runs and cold scans — and the workload factory streams it through
 // trace::L1Filter sized like the original 30 MB cache.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "trace/trace.hpp"
+#include "util/prng.hpp"
+#include "util/zipf.hpp"
 
 namespace pfp::trace {
 
@@ -48,8 +51,43 @@ class TimeshareGenerator {
     std::uint32_t run_history = 4;       ///< remembered runs per process
   };
 
+  /// The record loop as a pull source: each next() is one loop iteration
+  /// and emits exactly one raw record.  The stream never depends on
+  /// Config::references, so any prefix of it is the generate() output of
+  /// that length.
+  class Source {
+   public:
+    explicit Source(const Config& config);
+
+    TraceRecord next();
+
+   private:
+    struct PastRun {
+      std::uint64_t start = 0;
+      std::uint64_t length = 0;
+    };
+    struct ProcessState {
+      std::uint64_t run_block = 0;  ///< next block of the current seq. run
+      std::uint64_t run_remaining = 0;
+      std::vector<PastRun> history;  ///< ring buffer of completed runs
+      std::size_t history_next = 0;
+    };
+
+    Config config_;
+    util::Xoshiro256 rng_;
+    std::uint64_t private_base_;
+    std::uint64_t cold_base_;
+    util::ZipfSampler pick_process_;
+    util::ZipfSampler pick_private_;
+    util::ZipfSampler pick_shared_;
+    std::vector<ProcessState> procs_;
+    std::uint32_t proc_ = 0;
+    std::uint64_t burst_remaining_ = 0;
+  };
+
   explicit TimeshareGenerator(Config config);
 
+  /// The first Config::references records of Source(config()).
   [[nodiscard]] Trace generate() const;
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }

@@ -17,28 +17,32 @@ namespace {
 constexpr std::uint64_t kCelloL1Blocks = 30ULL * 1024 * 1024 / 8192;  // 3840
 constexpr std::uint64_t kSnakeL1Blocks = 5ULL * 1024 * 1024 / 8192;   // 640
 
-/// Generates raw references with the given generator-config factory and
-/// replays them through an L1 filter until `references` misses survive.
-/// Doubling the raw length and regenerating keeps the result a pure
-/// function of (seed, references) — the generators are deterministic, so
-/// a longer run is a superset of a shorter one.
-template <typename Generator, typename Config>
-Trace filtered_workload(Config config, std::uint64_t l1_blocks,
-                        std::uint64_t references, const char* name) {
-  std::uint64_t raw = references * 3;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    config.references = raw;
-    const Trace full = Generator(config).generate();
-    L1Filter filter(l1_blocks);
-    Trace survived = filter.filter(full);
-    if (survived.size() >= references || attempt == 7) {
-      survived.truncate(references);
-      survived.set_name(name);
-      return survived;
+// Raw references read per requested survivor before giving up, 3 x 2^7:
+// construction once regenerated at 3x, 6x, ... 384x the length, and this
+// bound keeps its output even when the filter absorbs almost everything.
+constexpr std::uint64_t kRawPerReference = 384;
+
+/// Streams the generator's raw records through an L1 filter until
+/// `references` misses survive.  Each Source::next() is one record of the
+/// generator's loop, so the result is a pure function of (seed,
+/// references) and a longer workload extends a shorter one.
+template <typename Generator>
+Trace filtered_workload(const typename Generator::Config& config,
+                        std::uint64_t l1_blocks, std::uint64_t references,
+                        const char* name) {
+  typename Generator::Source source(config);
+  L1Filter filter(l1_blocks);
+  Trace survived(name);
+  survived.reserve(references);
+  const std::uint64_t raw_budget = references * kRawPerReference;
+  for (std::uint64_t raw = 0; raw < raw_budget && survived.size() < references;
+       ++raw) {
+    const TraceRecord record = source.next();
+    if (filter.access(record.block)) {
+      survived.push_back(record);
     }
-    raw *= 2;
   }
-  PFP_REQUIRE(false);  // unreachable
+  return survived;
 }
 
 }  // namespace

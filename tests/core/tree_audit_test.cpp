@@ -51,8 +51,8 @@ class TreeAuditDetection : public ::testing::Test {
 
 // Parse a, b, a, c: root(w3) -> {a(w2) -> {c(w1)}, b(w1)}, so the tree
 // has an interior non-root node, a two-child node, and two leaves.
-PrefetchTree small_tree() {
-  PrefetchTree tree;
+PrefetchTree small_tree(TreeConfig config = TreeConfig{}) {
+  PrefetchTree tree(config);
   tree.access(1);  // a
   tree.access(2);  // b
   tree.access(1);  // a (parse descends to node a)
@@ -133,7 +133,11 @@ TEST_F(TreeAuditDetection, DanglingLastVisitedChildFires) {
 }
 
 TEST_F(TreeAuditDetection, LeafLruDesyncFires) {
-  PrefetchTree tree = small_tree();
+  // Only bounded trees keep a leaf LRU; the bound is loose enough that
+  // nothing is evicted.
+  TreeConfig config;
+  config.max_nodes = 64;
+  PrefetchTree tree = small_tree(config);
   const NodeId b = tree.find_child(tree.root(), 2);
   ASSERT_NE(b, kNoNode);
   // b is a live leaf; dropping it from the leaf LRU makes it unevictable
@@ -147,12 +151,10 @@ TEST_F(TreeAuditDetection, UnreachableParsePositionFires) {
   const NodeId a = tree.find_child(tree.root(), 1);
   const NodeId c = tree.find_child(a, 3);
   ASSERT_NE(c, kNoNode);
-  // Destroy leaf c (keeping the leaf LRU consistent: c leaves it, its
-  // parent a becomes a leaf and enters it), then park the parse on the
-  // dead node.  Only the reachability audit can catch this.
-  AuditTestAccess::leaf_lru(tree).erase(c);
+  // Destroy leaf c (an unbounded tree keeps no leaf LRU to update), then
+  // park the parse on the dead node.  Only the reachability audit can
+  // catch this.
   AuditTestAccess::pool(tree).destroy(c);
-  AuditTestAccess::leaf_lru(tree).push_front(a);
   AuditTestAccess::current(tree) = c;
   EXPECT_THROW(tree.audit(), std::runtime_error);
 }

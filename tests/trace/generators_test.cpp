@@ -37,6 +37,34 @@ TEST(Generators, FileServerIsDeterministic) {
   expect_deterministic<FileServerGenerator>({});
 }
 
+// ---- streaming sources: generate() is a prefix of Source ---------------
+
+// make_workload streams cello and snake through the L1 filter and stops
+// once enough records survive; that matches generate() at any length only
+// if a longer run extends a shorter one record for record.
+template <typename Gen>
+void expect_prefix_of_source(typename Gen::Config config) {
+  config.references = 3'000;
+  const Trace generated = Gen(config).generate();
+  typename Gen::Source source(config);
+  ASSERT_EQ(generated.size(), 3'000u);
+  for (std::size_t i = 0; i < generated.size(); ++i) {
+    ASSERT_EQ(generated[i], source.next()) << "diverged at " << i;
+  }
+  config.references = 1'000;
+  const Trace shorter = Gen(config).generate();
+  for (std::size_t i = 0; i < shorter.size(); ++i) {
+    ASSERT_EQ(shorter[i], generated[i]) << "diverged at " << i;
+  }
+}
+
+TEST(Generators, TimeshareGenerateIsSourcePrefix) {
+  expect_prefix_of_source<TimeshareGenerator>({});
+}
+TEST(Generators, FileServerGenerateIsSourcePrefix) {
+  expect_prefix_of_source<FileServerGenerator>({});
+}
+
 // ---- seeds matter --------------------------------------------------------
 
 TEST(Generators, DifferentSeedsProduceDifferentTraces) {

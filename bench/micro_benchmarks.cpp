@@ -270,22 +270,18 @@ const std::vector<trace::BlockId>& cad_blocks() {
   return blocks;
 }
 
-// Shared config for the sharded-throughput family: run routing (the
-// stream is dealt to the shards in 4096-reference runs, so each shard's
-// predictor sees real traversal sequences and every run is one bulk ring
-// transaction) with each shard provisioning its own full-size buffer
-// pool, the scale-out-replicas shape ShardedConfig documents
-// (cache_blocks is PER SHARD).  BENCH_05-era runs hash-partitioned the
-// block space and split one 1024-block budget across the shards; that
-// configuration is kept measurable as BM_ShardedThroughputHashed below —
-// the gap between the two is predictor-locality tax, not hand-off cost
-// (docs/perf.md, "Batched hand-off").
+// Shared config for the sharded-throughput family: the stream is dealt
+// to the shards in 4096-reference runs, so each shard's predictor sees
+// real traversal sequences and every run is one bulk ring transaction,
+// with each shard provisioning its own full-size buffer pool, the
+// scale-out-replicas shape ShardedConfig documents (cache_blocks is PER
+// SHARD).  BENCH_05-era runs hash-partitioned the block space instead;
+// docs/perf.md ("Batched hand-off") records why that was removed.
 engine::ShardedConfig sharded_bench_config(std::uint32_t shards) {
   engine::ShardedConfig config;
   config.engine.cache_blocks = 1024;
   config.engine.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
   config.shards = shards;
-  config.routing = engine::Routing::kRuns;
   config.run_length = 4096;
   // Deep rings decouple the producer from the workers: on a single-core
   // host a shallow ring forces a context switch every few thousand
@@ -299,15 +295,15 @@ engine::ShardedConfig sharded_bench_config(std::uint32_t shards) {
 }
 
 // Aggregate throughput of the sharded engine on the batched hand-off
-// path: one producer routing the CAD trace through access_many()
-// (per-shard staging buffers, bulk ring transactions), N worker threads
+// path: one producer dealing the CAD trace through access_many() (bulk
+// ring transactions, one per run piece), N worker threads
 // pulling variable-size runs and running the full per-access state
 // machine through the engine's batched loop.  items/s is the aggregate
 // access rate; compare Arg(N) against Arg(1) for the scale-out factor.
 // NOTE: scaling requires real cores — on a single-core host the workers
-// serialize, but run routing + the bulk hand-off keep the aggregate at
-// the single-engine state-machine rate instead of BENCH_05's ~2.6x
-// collapse (BENCH_06 vs BENCH_05 in docs/perf.md).
+// serialize, but the positional deal + the bulk hand-off keep the
+// aggregate at the single-engine state-machine rate instead of
+// BENCH_05's ~2.6x collapse (BENCH_06 vs BENCH_05 in docs/perf.md).
 void BM_ShardedThroughput(benchmark::State& state) {
   const auto& blocks = cad_blocks();
   const auto shards = static_cast<std::uint32_t>(state.range(0));
@@ -350,32 +346,6 @@ BENCHMARK(BM_ShardedThroughputPushOne)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The BENCH_05-era configuration: hash-partitioned block space with one
-// 1024-block buffer budget split across the shards, now on the batched
-// hand-off.  Kept so the predictor-locality tax of key partitioning
-// stays measured — this number barely moves between push-one and
-// batched hand-off because the state machine, not the ring, dominates.
-void BM_ShardedThroughputHashed(benchmark::State& state) {
-  const auto& blocks = cad_blocks();
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    engine::ShardedConfig config;
-    config.engine.cache_blocks = 1024 / shards;
-    config.engine.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
-    config.shards = shards;
-    engine::ShardedEngine eng(config);
-    eng.access_many(blocks);
-    eng.flush();
-    benchmark::DoNotOptimize(eng.merged_metrics());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(blocks.size()));
-}
-BENCHMARK(BM_ShardedThroughputHashed)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // Single-engine batched vs push-one: the same trace fed through
 // access() one block at a time (Arg 0) and through access_many() in one
 // span (Arg 1).  The spread is the per-access setup the batched loop
@@ -404,51 +374,6 @@ void BM_AccessMany(benchmark::State& state) {
   state.SetLabel(batched ? "access_many" : "push_one");
 }
 BENCHMARK(BM_AccessMany)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// Zipf hot-key mitigation head-to-head: a skewed stream (a handful of
-// hot blocks carrying half the references, the rest uniform) routed
-// through the batched hand-off under each HotKeyStrategy.  Arg 0 =
-// kNone, 1 = kBatchRuns, 2 = kRebalance.  The comparison table in
-// docs/perf.md is generated from these numbers.
-void BM_ShardedHotKeys(benchmark::State& state) {
-  static const std::vector<trace::BlockId> zipf = [] {
-    std::vector<trace::BlockId> out;
-    out.reserve(100'000);
-    util::Xoshiro256 rng(11);
-    for (int i = 0; i < 100'000; ++i) {
-      if (rng.below(2) == 0) {
-        out.push_back(rng.below(8));  // 8 hot blocks, half the stream
-      } else {
-        out.push_back(8 + rng.below(100'000));
-      }
-    }
-    return out;
-  }();
-  const auto strategy =
-      static_cast<engine::HotKeyStrategy>(state.range(0));
-  for (auto _ : state) {
-    engine::ShardedConfig config;
-    config.engine.cache_blocks = 256;
-    config.engine.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
-    config.shards = 4;
-    config.hot_keys = strategy;
-    engine::ShardedEngine eng(config);
-    eng.access_many(zipf);
-    eng.flush();
-    benchmark::DoNotOptimize(eng.merged_metrics());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(zipf.size()));
-  state.SetLabel(state.range(0) == 0
-                     ? "none"
-                     : (state.range(0) == 1 ? "batch_runs" : "rebalance"));
-}
-BENCHMARK(BM_ShardedHotKeys)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

@@ -6,7 +6,7 @@
 // kind of study an operator would run before provisioning RAM.  The study
 // drives engine::PrefetchEngine push-style (the way the file server
 // itself would embed it), then sizes up with engine::ShardedEngine to
-// show what hash-partitioning the block space across cores buys.
+// show what dealing the reference stream across cores buys.
 //
 //   $ ./file_server_sim [--refs N] [--clients N] [--csv out.csv]
 //
@@ -130,10 +130,11 @@ int main(int argc, char** argv) {
     std::cout << "(full CSV written to " << options.str("csv") << ")\n";
   }
 
-  // --- scaling out: shard the block space across cores -----------------
-  // A busy server can hash-partition blocks across independent engines,
-  // one worker thread each.  Miss rates shift slightly (each shard has
-  // its own cache and predictor) but wall-clock throughput scales.
+  // --- scaling out: deal the stream across cores ------------------------
+  // A busy server can deal the reference stream, in runs of consecutive
+  // references, to independent engines, one worker thread each.  Miss
+  // rates shift slightly (each shard has its own cache and predictor)
+  // but wall-clock throughput scales.
   std::cout << "\nSharded scale-out (tree-next-limit, 1024 blocks total):\n";
   std::cout << "shards   wall ms   accesses/s   miss rate\n";
   std::cout << "------------------------------------------\n";

@@ -25,12 +25,18 @@ legs like the nightly, where timings inform but must not block.
 
 Benchmarks missing from the baseline are warned about and skipped (new
 benchmarks must be able to land without tripping the gate); a missing or
-malformed baseline file still exits 2.
+malformed baseline file still exits 2.  Baseline rows that did not run
+(a removed benchmark, or one the --filter selects that is gone) are
+listed as "in baseline, not run" and warned about, without changing the
+exit code.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -107,7 +113,7 @@ def cmake_build_type(binary: pathlib.Path) -> str:
 
 
 def compare(fresh: dict, baseline_path: pathlib.Path, tolerance: float,
-            warn_only: bool = False) -> int:
+            warn_only: bool = False, bench_filter: str | None = None) -> int:
     if not baseline_path.exists():
         print(f"snapshot not found: {baseline_path}", file=sys.stderr)
         return 2
@@ -125,7 +131,13 @@ def compare(fresh: dict, baseline_path: pathlib.Path, tolerance: float,
         return 2
     regressions = []
     skipped = []
-    width = max(map(len, fresh), default=0)
+    # Rows outside --filter were never asked for; only the rest count as
+    # dropped.
+    not_run = sorted(
+        name for name in baseline
+        if name not in fresh
+        and (bench_filter is None or re.search(bench_filter, name)))
+    width = max(map(len, [*fresh, *not_run]), default=0)
     for name, ips in sorted(fresh.items()):
         base = baseline.get(name)
         if not isinstance(base, (int, float)) or base <= 0:
@@ -142,6 +154,12 @@ def compare(fresh: dict, baseline_path: pathlib.Path, tolerance: float,
             regressions.append(name)
         print(f"{name:{width}}  {ips:>14,.0f}  vs {base:>14,.0f}"
               f"  ({ratio:6.2%}){marker}")
+    for name in not_run:
+        print(f"{name:{width}}  {'':>14}  (in baseline, not run)")
+    if not_run:
+        print(f"warning: {len(not_run)} benchmark(s) in "
+              f"{baseline_path.name} not run: {', '.join(not_run)}",
+              file=sys.stderr)
     if skipped:
         print(f"warning: {len(skipped)} benchmark(s) not in "
               f"{baseline_path.name}, skipped: {', '.join(skipped)}",
@@ -198,6 +216,24 @@ def self_test() -> int:
         check("warn-only still exits 2 on a missing baseline",
               compare(fresh, tmpdir / "absent.json", 0.10, warn_only=True), 2)
 
+        dropped = tmpdir / "dropped.json"
+        dropped.write_text(json.dumps(
+            {"items_per_second": {"BM_A": 99.0, "BM_Gone": 7.0}}))
+        for label, bench_filter, want_row in [
+                ("baseline row that did not run is reported, exit 0",
+                 None, True),
+                ("dropped row outside --filter is not reported, exit 0",
+                 "BM_A", False)]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = compare(fresh, dropped, 0.10,
+                               bench_filter=bench_filter)
+            print(out.getvalue(), end="")
+            reported = "BM_Gone" in out.getvalue() and \
+                "(in baseline, not run)" in out.getvalue()
+            # A wrong report fails the check whatever the exit code.
+            check(label, code if reported == want_row else -1, 0)
+
         within = tmpdir / "within.json"
         within.write_text(json.dumps({"items_per_second": {"BM_A": 105.0}}))
         check("slowdown within tolerance exits 0",
@@ -252,7 +288,8 @@ def main() -> int:
         return 2
 
     if args.compare is not None:
-        return compare(fresh, args.compare, args.tolerance, args.warn_only)
+        return compare(fresh, args.compare, args.tolerance, args.warn_only,
+                       args.filter)
 
     payload = {
         "context": {

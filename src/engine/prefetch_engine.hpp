@@ -12,9 +12,9 @@
 //     if (r.outcome == engine::Outcome::kMiss) { ... }
 //   }
 //
-// The trace drivers (sim::Simulator, sim::OnlineSession) are thin shells
-// over this class; the devirtualized per-policy batch loops live here so
-// replay throughput and embedded behaviour can never drift apart.
+// The trace driver (sim::Simulator) is a thin shell over this class;
+// the devirtualized per-policy batch loops live here so replay
+// throughput and embedded behaviour can never drift apart.
 // Layering: engine/ sits between core/ and sim/ and must not include
 // sim/ (enforced by scripts/lint/check_conventions.py).
 #pragma once

@@ -1,6 +1,7 @@
 #include "engine/sharded_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "obs/trace_ring.hpp"
@@ -10,14 +11,8 @@ namespace pfp::engine {
 
 namespace {
 
-// SplitMix64 finalizer: cheap, stable, and mixes low-entropy block ids
-// (sequential file offsets) evenly across shards.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// Largest run a worker pops in one ring transaction.
+constexpr std::size_t kMaxPop = 256;
 
 // Runs before the thread pool spins up (member-init order), so a bad
 // shard count can never spawn a runaway number of workers first.
@@ -29,28 +24,9 @@ ShardedConfig validated(ShardedConfig config) {
     throw std::invalid_argument(
         "ShardedConfig: shards must be at most 1024");
   }
-  if (config.flush_threshold_min == 0) {
-    throw std::invalid_argument(
-        "ShardedConfig: flush_threshold_min must be at least 1");
-  }
-  if (config.flush_threshold_max < config.flush_threshold_min) {
-    throw std::invalid_argument(
-        "ShardedConfig: flush_threshold_max must be >= flush_threshold_min");
-  }
-  if (config.hot_keys != HotKeyStrategy::kNone &&
-      config.hot_key_capacity == 0) {
-    throw std::invalid_argument(
-        "ShardedConfig: hot_key_capacity must be at least 1");
-  }
   if (config.run_length == 0) {
     throw std::invalid_argument(
         "ShardedConfig: run_length must be at least 1");
-  }
-  if (config.routing == Routing::kRuns &&
-      config.hot_keys == HotKeyStrategy::kRebalance) {
-    throw std::invalid_argument(
-        "ShardedConfig: kRebalance re-routes by key; run routing has no "
-        "per-key shard affinity to rebalance");
   }
   validate(config.engine);
   return config;
@@ -60,15 +36,10 @@ ShardedConfig validated(ShardedConfig config) {
 
 ShardedEngine::ShardedEngine(ShardedConfig config)
     : config_(validated(config)), pool_(config_.shards) {
-  if (config_.hot_keys != HotKeyStrategy::kNone) {
-    hot_sketch_.emplace(config_.hot_key_capacity);
-  }
   shards_.reserve(config_.shards);
   for (std::uint32_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        config_.engine, config_.queue_capacity, config_.flush_threshold_min));
-    shards_.back()->queue.assert_producer();  // constructing thread
-    shards_.back()->staged.reserve(config_.flush_threshold_max);
+    shards_.push_back(
+        std::make_unique<Shard>(config_.engine, config_.queue_capacity));
   }
   // Thread-per-shard: each worker occupies one pool thread for the
   // engine's whole lifetime, which is why the pool is sized to shards.
@@ -80,9 +51,6 @@ ShardedEngine::ShardedEngine(ShardedConfig config)
 }
 
 ShardedEngine::~ShardedEngine() {
-  // Staged residue must reach the rings before the workers are told to
-  // stop, or those accesses would be lost.
-  drain();
   stop_.store(true, std::memory_order_release);
   for (auto& future : workers_) {
     try {
@@ -94,61 +62,14 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-std::uint32_t ShardedEngine::shard_of(trace::BlockId block) const noexcept {
-  return static_cast<std::uint32_t>(mix64(block) %
-                                    shards_.size());
-}
-
-std::uint32_t ShardedEngine::rendezvous_shard(
-    trace::BlockId block) const noexcept {
-  // Highest-random-weight choice over the shards with a hash stream
-  // independent of the base partition (different per-shard salt), so a
-  // clump of hot keys that mix64 % shards co-located gets spread out.
-  std::uint32_t best = 0;
-  std::uint64_t best_score = 0;
-  for (std::uint32_t i = 0; i < shards(); ++i) {
-    const std::uint64_t score =
-        mix64(block ^ (0xa0761d6478bd642fULL * (i + 1)));
-    if (score > best_score) {
-      best_score = score;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::uint32_t ShardedEngine::route(trace::BlockId block) {
-  if (hot_sketch_.has_value()) {
-    hot_sketch_->record(block);
-    if (config_.hot_keys == HotKeyStrategy::kRebalance &&
-        hot_sketch_->is_heavy(block, config_.hot_key_min_count)) {
-      // kRebalance implies kHash routing (validated()), so this is the
-      // only detour from the base partition.
-      return rendezvous_shard(block);
-    }
-  }
-  if (config_.routing == Routing::kRuns) {
-    // Deal the stream out in run_length-sized slices: a pure function of
-    // the reference's position, shared by push() and access_many(), so
-    // the partition is identical across any mix of entry points.
-    return static_cast<std::uint32_t>((routed_++ / config_.run_length) %
-                                      shards_.size());
-  }
-  return shard_of(block);
-}
-
 void ShardedEngine::push(trace::BlockId block) {
-  Shard& shard = *shards_[route(block)];
+  Shard& shard = next_shard();
+  ++dealt_;
   // This thread is the engine's unique producer (class contract); it
   // plays the producer role for every shard queue and is the single
   // writer of the backpressure counter.
   shard.queue.assert_producer();
   shard.push_waits.assert_writer();
-  if (!shard.staged.empty()) {
-    // FIFO across mixed entry points: residue access_many() staged for
-    // this shard predates this reference, so it goes to the ring first.
-    flush_staged(shard);
-  }
   util::Backoff backoff;
   while (!shard.queue.try_push(block)) {
     shard.push_waits.inc();  // off the steady-state path: full queue only
@@ -158,68 +79,37 @@ void ShardedEngine::push(trace::BlockId block) {
 }
 
 void ShardedEngine::access_many(std::span<const trace::BlockId> blocks) {
-  for (const trace::BlockId block : blocks) {
-    Shard& shard = *shards_[route(block)];
-    shard.queue.assert_producer();
-    shard.staged.push_back(block);
-    std::size_t threshold = shard.flush_threshold;
-    if (config_.hot_keys == HotKeyStrategy::kBatchRuns &&
-        hot_sketch_->is_heavy(block, config_.hot_key_min_count)) {
-      // Hot shard: let the run grow to the maximum so the hammered ring
-      // gets the cheapest possible per-element hand-off.  Flush timing
-      // only — per-shard order is untouched.
-      threshold = config_.flush_threshold_max;
-    }
-    if (shard.staged.size() >= threshold) {
-      flush_staged(shard);
-    }
+  // The deal is a pure function of the stream position, so splitting at
+  // run boundaries lands every reference where push() would have.
+  while (!blocks.empty()) {
+    const std::size_t run_left =
+        config_.run_length - dealt_ % config_.run_length;
+    const std::size_t n = std::min(run_left, blocks.size());
+    push_run(next_shard(), blocks.first(n));
+    dealt_ += n;
+    blocks = blocks.subspan(n);
   }
 }
 
-void ShardedEngine::flush_staged(Shard& shard) {
+void ShardedEngine::push_run(Shard& shard,
+                             std::span<const trace::BlockId> run) {
   shard.queue.assert_producer();
   shard.push_waits.assert_writer();
-  std::span<const trace::BlockId> rest(shard.staged);
+  shard.pushed += run.size();
   util::Backoff backoff;
-  bool waited = false;
-  while (!rest.empty()) {
-    const std::size_t accepted = shard.queue.try_push_n(rest);
+  while (!run.empty()) {
+    const std::size_t accepted = shard.queue.try_push_n(run);
     if (accepted == 0) {
-      waited = true;
       shard.push_waits.inc();
       backoff.wait();
       continue;
     }
-    rest = rest.subspan(accepted);
+    run = run.subspan(accepted);
     backoff.reset();
-  }
-  shard.pushed += shard.staged.size();
-  shard.staged.clear();
-  // Adapt the run length to the worker: backpressure means it is behind
-  // (longer runs amortize the hand-off the producer is stalled on
-  // anyway); instant full acceptance means it keeps up (shorter runs
-  // hand work over sooner instead of parking it in the staging buffer).
-  if (waited) {
-    shard.flush_threshold =
-        std::min(shard.flush_threshold * 2, config_.flush_threshold_max);
-  } else {
-    shard.flush_threshold =
-        std::max(shard.flush_threshold - shard.flush_threshold / 4,
-                 config_.flush_threshold_min);
-  }
-}
-
-void ShardedEngine::drain() {
-  for (auto& shard : shards_) {
-    shard->queue.assert_producer();
-    if (!shard->staged.empty()) {
-      flush_staged(*shard);
-    }
   }
 }
 
 void ShardedEngine::flush() {
-  drain();
   for (auto& shard : shards_) {
     shard->queue.assert_producer();  // `pushed` is producer-guarded
     util::Backoff backoff;
@@ -271,12 +161,12 @@ void ShardedEngine::write_chrome_trace(std::ostream& out) {
 
 void ShardedEngine::worker(Shard& shard) {
   // This thread is the shard's unique consumer and the only thread that
-  // ever touches shard.engine after construction.  It pulls
-  // variable-size runs in one bulk ring transaction each and feeds them
-  // through the engine's batched loop, so both ends of the ring and the
+  // ever touches shard.engine after construction.  It pulls up to
+  // kMaxPop records in one bulk ring transaction and feeds them through
+  // the engine's batched loop, so both ends of the ring and the
   // per-access setup are amortized over the run.
   shard.queue.assert_consumer();
-  std::vector<trace::BlockId> run(config_.flush_threshold_max);
+  std::array<trace::BlockId, kMaxPop> run;
   util::Backoff backoff;
   for (;;) {
     const std::size_t n = shard.queue.try_pop_n(run.data(), run.size());

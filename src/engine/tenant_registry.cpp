@@ -12,9 +12,6 @@ ShardedConfig sharded_config(const TenantConfig& config) {
   sharded.engine = config.engine;
   sharded.shards = config.shards;
   sharded.queue_capacity = config.queue_capacity;
-  // Run routing keeps each shard on contiguous stream segments, so the
-  // predictor chains survive sharding (docs/perf.md, "Batched hand-off").
-  sharded.routing = Routing::kRuns;
   return sharded;
 }
 
@@ -34,6 +31,13 @@ TenantStatus set_policy_by_name(TenantConfig& config, const std::string& name,
 }
 
 Tenant::Tenant(TenantConfig config) : config_(std::move(config)) {
+  // A served tenant only ever sees the past; an oracle would run with no
+  // lookahead and prefetch nothing while still labelled an oracle.
+  if (config_.engine.policy.kind ==
+      core::policy::PolicyKind::kPerfectSelector) {
+    throw std::invalid_argument(
+        "perfect-selector needs future knowledge and cannot run online");
+  }
   if (config_.shards >= 2) {
     sharded_ = std::make_unique<ShardedEngine>(sharded_config(config_));
   } else {

@@ -2,8 +2,8 @@
 // drives.
 //
 // One Tenant owns one isolated prefetching stack — a PrefetchEngine, or
-// a ShardedEngine (Routing::kRuns) for large tenants — plus the tenant's
-// name and a per-tenant mutex that serializes every mutating call.  The
+// a ShardedEngine for large tenants — plus the tenant's name and a
+// per-tenant mutex that serializes every mutating call.  The
 // registry maps client-chosen 16-bit tenant ids to live tenants and owns
 // the open/close/restore state machine (docs/server.md, "Tenant
 // lifecycle"):
@@ -59,8 +59,8 @@ struct TenantConfig {
   std::string name;  ///< metrics label (Prometheus tenant="...")
   EngineConfig engine;
   /// 0 or 1 = a single PrefetchEngine; >= 2 = ShardedEngine with this
-  /// many shards under Routing::kRuns (contiguous stream runs per shard,
-  /// the scale-out-replicas shape — see sharded_engine.hpp).
+  /// many shards (contiguous stream runs per shard, the
+  /// scale-out-replicas shape — see sharded_engine.hpp).
   std::uint32_t shards = 0;
   /// Per-shard ring capacity for sharded tenants.
   std::size_t queue_capacity = 8192;
@@ -78,8 +78,10 @@ TenantStatus set_policy_by_name(TenantConfig& config, const std::string& name,
 /// driven from several connections still sees one total order.
 class Tenant {
  public:
-  /// Builds the engine(s); throws std::invalid_argument on a bad config
-  /// (the registry turns that into kBadConfig before construction).
+  /// Builds the engine(s); throws std::invalid_argument on a bad config,
+  /// including an oracle policy (perfect-selector), which needs the
+  /// future and cannot serve online.  The registry turns that into
+  /// kBadConfig.
   explicit Tenant(TenantConfig config);
 
   [[nodiscard]] const std::string& name() const noexcept {

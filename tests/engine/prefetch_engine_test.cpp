@@ -38,6 +38,29 @@ TEST(PrefetchEngine, FirstAccessMissesThenHits) {
   EXPECT_LT(hit.latency_ms, 1.0);
 }
 
+TEST(PrefetchEngine, SequentialStreamGetsPrefetchHits) {
+  PrefetchEngine eng(tree_config());
+  bool saw_prefetch_hit = false;
+  for (trace::BlockId b = 0; b < 200; ++b) {
+    saw_prefetch_hit |= eng.access(b).outcome == Outcome::kPrefetchHit;
+  }
+  EXPECT_TRUE(saw_prefetch_hit);
+  EXPECT_GT(eng.metrics().prefetch_hits, 0u);
+}
+
+TEST(PrefetchEngine, LatencySumsToElapsedMinusCompute) {
+  const EngineConfig c = tree_config();
+  PrefetchEngine eng(c);
+  double latency_total = 0.0;
+  for (trace::BlockId b = 0; b < 500; ++b) {
+    latency_total += eng.access(b % 100).latency_ms;
+  }
+  // latency excludes T_cpu but includes everything else the model
+  // charges (hit time, driver overheads, stalls).
+  EXPECT_NEAR(latency_total, eng.metrics().elapsed_ms - 500.0 * c.timing.t_cpu,
+              1e-6);
+}
+
 TEST(PrefetchEngine, PushPathMatchesBatchReplayExactly) {
   // access() one block at a time must be bit-identical to run_trace()
   // over the same stream — same cache decisions, same timing charges.

@@ -182,15 +182,19 @@ TEST(Session, DuplicateOpenIsRejectedAndOriginalSurvives) {
 }
 
 TEST(Session, BadPolicyNameIsBadConfig) {
-  engine::TenantRegistry registry;
-  Session session(registry, SessionConfig{});
-  EXPECT_TRUE(session.ingest(
-      make_frame(wire::MsgType::kTenantOpen, 1, 1,
-                 open_payload("t", "definitely-not-a-policy", 64))));
-  const std::vector<Reply> replies = drain_replies(session);
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_EQ(expect_error(replies[0]).code, wire::ErrorCode::kBadConfig);
-  EXPECT_EQ(registry.size(), 0u);
+  // An unknown name, and an oracle that needs the future a served
+  // tenant never has: both are typed config errors, nothing opens.
+  for (const char* policy : {"definitely-not-a-policy", "perfect-selector"}) {
+    engine::TenantRegistry registry;
+    Session session(registry, SessionConfig{});
+    EXPECT_TRUE(session.ingest(make_frame(wire::MsgType::kTenantOpen, 1, 1,
+                                          open_payload("t", policy, 64))));
+    const std::vector<Reply> replies = drain_replies(session);
+    ASSERT_EQ(replies.size(), 1u) << policy;
+    EXPECT_EQ(expect_error(replies[0]).code, wire::ErrorCode::kBadConfig)
+        << policy;
+    EXPECT_EQ(registry.size(), 0u) << policy;
+  }
 }
 
 TEST(Session, UnknownTypeIsRecoverable) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,21 @@ TEST(TenantRegistry, BadEngineConfigIsTypedNotThrown) {
             TenantStatus::kBadConfig);
   EXPECT_FALSE(detail.empty());
   EXPECT_EQ(registry.size(), 0u);
+}
+
+TEST(TenantRegistry, OraclePolicyIsBadConfig) {
+  // perfect-selector reads the future; a served tenant never has it, so
+  // the tenant refuses to open rather than serve a mislabelled no-op.
+  TenantConfig config = small_config("oracle", "perfect-selector");
+  EXPECT_THROW(Tenant{config}, std::invalid_argument);
+  for (const std::uint32_t shards : {0u, 2u}) {
+    config.shards = shards;
+    TenantRegistry registry;
+    std::string detail;
+    EXPECT_EQ(registry.open(1, config, &detail), TenantStatus::kBadConfig);
+    EXPECT_NE(detail.find("perfect-selector"), std::string::npos) << detail;
+    EXPECT_EQ(registry.size(), 0u);
+  }
 }
 
 TEST(SetPolicyByName, ResolvesKnownAndRejectsUnknownNames) {

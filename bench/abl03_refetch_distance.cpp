@@ -35,13 +35,13 @@ int main(int argc, char** argv) {
                            "pf hit rate"});
     for (const trace::Trace* t : bench::load_all_workloads(env)) {
       for (const Rule& rule : rules) {
-        sim::SimConfig config;
+        engine::EngineConfig config;
         // Small cache: ejection pricing only matters when the pool is
         // contended enough that prefetched blocks actually get ejected.
         config.cache_blocks = 256;
         config.timing.t_cpu = t_cpu;
         config.policy = bench::spec_of(core::policy::PolicyKind::kTree);
-        config.policy.tree.refetch = rule.rule;
+        config.policy.controller.refetch = rule.rule;
         const auto r = sim::simulate(config, *t);
         table.row({t->name(), rule.name,
                    util::format_percent(r.metrics.miss_rate()),

@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
                          "pf ejections"});
   for (const trace::Trace* t : bench::load_all_workloads(env)) {
     for (const Rule& rule : rules) {
-      sim::SimConfig config;
+      engine::EngineConfig config;
       config.cache_blocks = 1024;
       config.policy = bench::spec_of(core::policy::PolicyKind::kTree);
-      config.policy.tree.reclaim = rule.rule;
+      config.policy.controller.reclaim = rule.rule;
       const auto r = sim::simulate(config, *t);
       table.row({t->name(), rule.name,
                  util::format_percent(r.metrics.miss_rate()),

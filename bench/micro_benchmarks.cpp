@@ -201,7 +201,7 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   const auto kind =
       static_cast<core::policy::PolicyKind>(state.range(0));
   for (auto _ : state) {
-    sim::SimConfig config;
+    engine::EngineConfig config;
     config.cache_blocks = 1024;
     config.policy.kind = kind;
     benchmark::DoNotOptimize(sim::simulate(config, t));

@@ -34,7 +34,7 @@ struct PrefetchEntry {
   double eject_cost = 0.0;    ///< policy-computed C_pr(b)
   bool obl = false;           ///< one-block-lookahead (quota-managed)
   std::uint64_t issued_period = 0;  ///< access period of the prefetch
-  /// Virtual time the disk read completes (set at issue from the disk
+  /// Simulated time the disk read completes (set at issue from the disk
   /// model); a reference before this time stalls for the remainder.
   double completion_ms = 0.0;
 };

@@ -58,7 +58,7 @@ struct Context {
   cache::StackDistanceEstimator& stack;
   PolicyMetrics& metrics;
   std::uint64_t period = 0;
-  /// Simulator virtual time at the start of this access period (ms).
+  /// Simulated time at the start of this access period (ms).
   double now_ms = 0.0;
   /// Trace records after the one being processed (oracle policies only).
   std::span<const trace::TraceRecord> upcoming{};

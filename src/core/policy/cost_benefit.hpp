@@ -10,10 +10,12 @@
 //
 // This header is that loop as a template over the candidate type: the LZ
 // tree feeds it tree::Candidate spans, the delta-Markov and association
-// policies feed costben::PredictedBlock spans.  Duck typing (fields
+// predictors feed costben::PredictedBlock spans.  Duck typing (fields
 // block / probability / parent_probability / depth) instead of a common
 // base keeps the tree's hot path copy-free — the loop body is the exact
 // code the tree family always ran, so extracting it moved no metric pin.
+// It also holds admit_prefetch, the one place any policy part puts a
+// block into the prefetch cache.
 #pragma once
 
 #include <algorithm>
@@ -46,8 +48,17 @@ enum class ReclaimRule {
   kDemandFirst,    ///< demand LRU, then oldest prefetched block
 };
 
-/// The knobs the controller loop reads; each cost-benefit policy fills
-/// this from its own config struct.
+/// The controller knobs a PolicySpec sets once for every cost-benefit
+/// kind.
+struct ControllerConfig {
+  /// Hard cap on prefetches per access period; a safety net, normally the
+  /// cost-benefit inequality stops the loop first.
+  std::uint32_t max_prefetches_per_period = 16;
+  RefetchDistanceRule refetch = RefetchDistanceRule::kHorizon;
+  ReclaimRule reclaim = ReclaimRule::kCostBased;
+};
+
+/// The knobs the controller loop reads for one period.
 struct CostBenefitKnobs {
   std::uint32_t max_depth = 8;  ///< BenefitTable size (>= deepest candidate)
   /// Hard cap on prefetches per access period; a safety net, normally the
@@ -66,8 +77,8 @@ struct CostBenefitKnobs {
   bool single_offer = false;
 };
 
-/// Evicts one buffer according to `rule` (shared by every cost-benefit
-/// policy's reclaim paths).
+/// Evicts one buffer according to `rule` (shared by every policy's
+/// reclaim paths).
 inline void reclaim_by_rule(ReclaimRule rule, Context& ctx) {
   switch (rule) {
     case ReclaimRule::kCostBased:
@@ -82,12 +93,37 @@ inline void reclaim_by_rule(ReclaimRule rule, Context& ctx) {
   }
 }
 
+/// Issues the disk read for `block` and admits it to the prefetch cache,
+/// priced for ejection with Eq. 11 at depth `depth` and re-prefetch
+/// distance `x`.  OBL blocks count toward the one-block-lookahead share;
+/// every other block counts as predicted and adds its probability to the
+/// Figure 10 sum.
+inline void admit_prefetch(Context& ctx, BlockId block, double probability,
+                           std::uint32_t depth, std::uint32_t x, bool obl) {
+  cache::PrefetchEntry entry;
+  entry.block = block;
+  entry.probability = probability;
+  entry.depth = depth;
+  entry.eject_cost = costben::cost_eject_prefetch(
+      ctx.timing, ctx.estimators.s(), probability, depth, x);
+  entry.obl = obl;
+  entry.issued_period = ctx.period;
+  entry.completion_ms = ctx.disks.submit(block, ctx.now_ms);
+  ctx.cache.admit_prefetch(entry);
+  ++ctx.metrics.prefetches_issued;
+  if (obl) {
+    ++ctx.metrics.obl_prefetches_issued;
+    return;
+  }
+  ++ctx.metrics.tree_prefetches_issued;
+  ctx.metrics.sum_prefetch_probability += probability;
+}
+
 /// Admits one predictor-chosen block, computing its Eq. 11 ejection price
 /// under the configured re-prefetch-distance rule.
 template <typename Candidate>
 void admit_predicted_prefetch(Context& ctx, const Candidate& candidate,
                               RefetchDistanceRule refetch) {
-  const double s = ctx.estimators.s();
   // Re-prefetch distance x for Eq. 11: by default a displaced block would
   // be fetched again once it comes within the prefetch horizon (see
   // DESIGN.md); ablation rules pin x to the extremes.
@@ -95,7 +131,7 @@ void admit_predicted_prefetch(Context& ctx, const Candidate& candidate,
   switch (refetch) {
     case RefetchDistanceRule::kHorizon:
       x = std::min(candidate.depth - 1,
-                   costben::prefetch_horizon(ctx.timing, s));
+                   costben::prefetch_horizon(ctx.timing, ctx.estimators.s()));
       break;
     case RefetchDistanceRule::kParentDepth:
       x = candidate.depth - 1;
@@ -104,27 +140,16 @@ void admit_predicted_prefetch(Context& ctx, const Candidate& candidate,
       x = 0;
       break;
   }
-  cache::PrefetchEntry entry;
-  entry.block = candidate.block;
-  entry.probability = candidate.probability;
-  entry.depth = candidate.depth;
-  entry.eject_cost = costben::cost_eject_prefetch(
-      ctx.timing, s, candidate.probability, candidate.depth, x);
-  entry.obl = false;
-  entry.issued_period = ctx.period;
-  entry.completion_ms = ctx.disks.submit(candidate.block, ctx.now_ms);
-  ctx.cache.admit_prefetch(entry);
-  ++ctx.metrics.prefetches_issued;
-  ++ctx.metrics.tree_prefetches_issued;
-  ctx.metrics.sum_prefetch_probability += candidate.probability;
+  admit_prefetch(ctx, candidate.block, candidate.probability,
+                 candidate.depth, x, /*obl=*/false);
 }
 
 /// Runs selection / pricing / decision over one period's candidates;
 /// returns the number of prefetches issued (callers fold it into the s
 /// estimate).  `order` and `dtpf` are caller-owned scratch reused across
 /// periods so the loop allocates nothing at steady state; `reclaim_one`
-/// evicts exactly one buffer when the controller needs room (policies
-/// route it through reclaim_by_rule or their own override).  Marks the
+/// evicts exactly one buffer when the controller needs room (through
+/// reclaim_by_rule with the policy's admission rule).  Marks the
 /// cost-benefit phase boundary after the pricing sort, exactly where the
 /// tree family always marked it.
 template <typename Candidate, typename ReclaimFn>

@@ -2,13 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/policy/next_limit.hpp"
-#include "core/policy/no_prefetch.hpp"
-#include "core/policy/perfect_selector.hpp"
-#include "core/policy/tree_children.hpp"
-#include "core/policy/tree_lvc.hpp"
-#include "core/policy/tree_next_limit.hpp"
-#include "core/policy/tree_threshold.hpp"
+#include "util/assert.hpp"
 
 namespace pfp::core::policy {
 
@@ -70,96 +64,157 @@ PolicyKind kind_from_name(const std::string& name) {
   throw std::invalid_argument("unknown policy '" + name + "'");
 }
 
+bool reads_upcoming(PolicyKind kind) {
+  return kind == PolicyKind::kPerfectSelector;
+}
+
 namespace {
+
+void reject(const std::string& what) {
+  throw std::invalid_argument("PolicySpec: " + what);
+}
 
 // !(value in range) instead of direct comparison so NaN is rejected too.
 void require_fraction(double value, const char* field) {
   if (!(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument(std::string("PolicySpec: ") + field +
-                                " must be in [0, 1] (got " +
-                                std::to_string(value) + ")");
+    reject(std::string(field) + " must be in [0, 1] (got " +
+           std::to_string(value) + ")");
+  }
+}
+
+// For the fractions whose component asserts they are positive.
+void require_positive_fraction(double value, const char* field) {
+  if (!(value > 0.0 && value <= 1.0)) {
+    reject(std::string(field) + " must be in (0, 1] (got " +
+           std::to_string(value) + ")");
+  }
+}
+
+void require_at_least(std::uint64_t value, std::uint64_t min,
+                      const char* field) {
+  if (value < min) {
+    reject(std::string(field) + " must be at least " + std::to_string(min));
+  }
+}
+
+void validate_adaptive(const AdaptiveConfig& a) {
+  if (!(a.min_floor > 0.0 && a.min_floor <= a.initial_floor &&
+        a.initial_floor <= a.max_floor)) {
+    reject("adaptive floors must satisfy 0 < min_floor <= initial_floor "
+           "<= max_floor");
+  }
+  if (!(a.h_low < a.h_high)) {
+    reject("adaptive.h_low must be below adaptive.h_high");
+  }
+  if (!(a.tighten_factor > 1.0)) {
+    reject("adaptive.tighten_factor must exceed 1");
+  }
+  if (!(a.relax_factor < 1.0)) {
+    reject("adaptive.relax_factor must be below 1");
   }
 }
 
 }  // namespace
 
 void validate_spec(const PolicySpec& spec) {
-  require_fraction(spec.obl_quota, "obl_quota");
-  require_fraction(spec.threshold, "threshold");
-  require_fraction(spec.graph.min_probability, "graph.min_probability");
-  if (spec.children == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: children must be at least 1");
-  }
-  if (spec.tree.max_prefetches_per_period == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: tree.max_prefetches_per_period must be at least 1");
-  }
+  require_positive_fraction(spec.obl_quota, "obl_quota");
+  require_positive_fraction(spec.threshold, "threshold");
+  require_at_least(spec.children, 1, "children");
+  require_at_least(spec.controller.max_prefetches_per_period, 1,
+                   "controller.max_prefetches_per_period");
+  require_positive_fraction(spec.graph.min_probability,
+                            "graph.min_probability");
+  require_at_least(spec.graph.max_prefetches, 1, "graph.max_prefetches");
+  require_at_least(spec.graph.max_successors, 1, "graph.max_successors");
+  validate_adaptive(spec.adaptive);
   require_fraction(spec.markov.limits.min_probability,
                    "markov.limits.min_probability");
   if (spec.markov.model.max_contexts == 0 ||
       spec.markov.model.row_width == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: markov.model bounds must be at least 1");
+    reject("markov.model bounds must be at least 1");
   }
-  if (spec.markov.model.max_count < 2) {
-    throw std::invalid_argument(
-        "PolicySpec: markov.model.max_count must be at least 2");
-  }
-  if (spec.markov.max_prefetches_per_period == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: markov.max_prefetches_per_period must be at least 1");
-  }
+  require_at_least(spec.markov.model.max_count, 2, "markov.model.max_count");
   require_fraction(spec.assoc.limits.min_probability,
                    "assoc.limits.min_probability");
   if (spec.assoc.miner.lookahead == 0 ||
       spec.assoc.miner.window <= spec.assoc.miner.lookahead) {
-    throw std::invalid_argument(
-        "PolicySpec: assoc.miner.window must exceed assoc.miner.lookahead "
-        "(both at least 1)");
+    reject("assoc.miner.window must exceed assoc.miner.lookahead (both at "
+           "least 1)");
   }
   if (spec.assoc.miner.row_width == 0 || spec.assoc.miner.max_rows == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: assoc.miner bounds must be at least 1");
+    reject("assoc.miner bounds must be at least 1");
   }
-  if (spec.assoc.miner.age_threshold < 2) {
-    throw std::invalid_argument(
-        "PolicySpec: assoc.miner.age_threshold must be at least 2");
-  }
-  if (spec.assoc.max_prefetches_per_period == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: assoc.max_prefetches_per_period must be at least 1");
-  }
+  require_at_least(spec.assoc.miner.age_threshold, 2,
+                   "assoc.miner.age_threshold");
 }
 
-// Construction happens once per simulation, never per access, so the
-// hot-path allocation ban does not apply here.  lint: allow-file(hot-alloc)
-std::unique_ptr<Prefetcher> make_prefetcher(const PolicySpec& spec) {
+Composition compose(const PolicySpec& spec) {
+  using P = PredictorKind;
+  using S = SelectorKind;
+  constexpr ReclaimRule kDemandFirst = ReclaimRule::kDemandFirst;
+  constexpr ReclaimRule kPrefetchFirst = ReclaimRule::kPrefetchFirst;
+  // Cost-benefit kinds reclaim by the controller's rule for prefetch
+  // admissions and demand fetches alike (Section 6.2); the baselines
+  // without a cost model let speculative blocks yield first.
+  const ReclaimRule rule = spec.controller.reclaim;
   switch (spec.kind) {
     case PolicyKind::kNoPrefetch:
-      return std::make_unique<NoPrefetch>();
+      // The prefetch cache stays empty, so this is plain LRU.
+      return {.predictor = P::kNone, .demand_reclaim = kDemandFirst};
     case PolicyKind::kNextLimit:
-      return std::make_unique<NextLimit>(spec.obl_quota);
+      // OBL recycles its own quota; demand fetches keep the lookahead
+      // blocks, as in an unpartitioned LRU cache.
+      return {.predictor = P::kNone, .obl = true,
+              .demand_reclaim = kDemandFirst};
     case PolicyKind::kTree:
-      return std::make_unique<TreeCostBenefit>(spec.tree);
+      return {.predictor = P::kTree, .selector = S::kCostBenefit,
+              .admission_reclaim = rule, .demand_reclaim = rule};
     case PolicyKind::kTreeNextLimit:
-      return std::make_unique<TreeNextLimit>(spec.tree, spec.obl_quota);
+      return {.predictor = P::kTree, .obl = true,
+              .selector = S::kCostBenefit, .admission_reclaim = rule,
+              .demand_reclaim = rule};
     case PolicyKind::kTreeLvc:
-      return std::make_unique<TreeLvc>(spec.tree);
-    case PolicyKind::kPerfectSelector:
-      return std::make_unique<PerfectSelector>(spec.tree.tree);
-    case PolicyKind::kTreeThreshold:
-      return std::make_unique<TreeThreshold>(spec.threshold, spec.tree.tree);
-    case PolicyKind::kTreeChildren:
-      return std::make_unique<TreeChildren>(spec.children, spec.tree.tree);
-    case PolicyKind::kProbGraph:
-      return std::make_unique<ProbGraph>(spec.graph);
+      return {.predictor = P::kTree, .selector = S::kCostBenefit,
+              .lvc = true, .admission_reclaim = rule,
+              .demand_reclaim = rule};
     case PolicyKind::kTreeAdaptive:
-      return std::make_unique<TreeAdaptive>(spec.tree, spec.adaptive);
+      return {.predictor = P::kTree, .adaptive_floor = true,
+              .selector = S::kCostBenefit, .admission_reclaim = rule,
+              .demand_reclaim = rule};
+    case PolicyKind::kTreeThreshold:
+      PFP_REQUIRE(spec.threshold > 0.0 && spec.threshold <= 1.0);
+      return {.predictor = P::kTree, .selector = S::kDirect,
+              .min_probability = spec.threshold,
+              .admission_reclaim = kPrefetchFirst,
+              .demand_reclaim = kPrefetchFirst};
+    case PolicyKind::kTreeChildren:
+      PFP_REQUIRE(spec.children >= 1);
+      return {.predictor = P::kTree, .selector = S::kDirect,
+              .max_considered = spec.children,
+              .admission_reclaim = kPrefetchFirst,
+              .demand_reclaim = kPrefetchFirst};
+    case PolicyKind::kProbGraph:
+      return {.predictor = P::kGraph, .selector = S::kDirect,
+              .min_probability = spec.graph.min_probability,
+              .max_issued = spec.graph.max_prefetches,
+              .admission_reclaim = kPrefetchFirst,
+              .demand_reclaim = kPrefetchFirst};
+    case PolicyKind::kPerfectSelector:
+      // Protect the lookahead block (needed on the very next access):
+      // demand fetches displace the demand LRU block whenever possible.
+      return {.predictor = P::kTree, .selector = S::kPerfect,
+              .admission_reclaim = kPrefetchFirst,
+              .demand_reclaim = kDemandFirst};
     case PolicyKind::kMarkov:
-      return std::make_unique<MarkovCostBenefit>(spec.markov);
+      return {.predictor = P::kMarkov, .selector = S::kCostBenefit,
+              .admission_reclaim = rule, .demand_reclaim = rule};
     case PolicyKind::kAssoc:
-      return std::make_unique<AssocCostBenefit>(spec.assoc);
+      // Eq. 1 prices a candidate against re-offering it one period later;
+      // an association surfaces only while its source is the current
+      // access, so it is priced as offered once.
+      return {.predictor = P::kAssoc, .selector = S::kCostBenefit,
+              .single_offer = true, .admission_reclaim = rule,
+              .demand_reclaim = rule};
   }
   throw std::invalid_argument("unknown policy kind");
 }

@@ -1,4 +1,4 @@
-// One-block-lookahead machinery shared by next-limit and tree-next-limit.
+// One-block lookahead: the add-on next-limit and tree-next-limit share.
 //
 // The paper's next-limit scheme "always prefetches the next disk block
 // after a block is fetched on-demand", capping the cache fraction devoted

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/costben/equations.hpp"
-#include "core/policy/eviction.hpp"
 #include "util/assert.hpp"
 
 namespace pfp::core::policy {
@@ -44,71 +42,34 @@ void ProbGraph::record_transition(BlockId from, BlockId to) {
   edges.back() = Edge{to, 1};
 }
 
-double ProbGraph::successor_probability(BlockId block,
-                                        BlockId successor) const {
+const ProbGraph::Node* ProbGraph::find(BlockId block) const {
   const auto it = graph_.find(block);
   if (it == graph_.end() || it->second.total == 0) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
+double ProbGraph::successor_probability(BlockId block,
+                                        BlockId successor) const {
+  const Node* node = find(block);
+  if (node == nullptr) {
     return 0.0;
   }
-  for (const Edge& e : it->second.edges) {
+  for (const Edge& e : node->edges) {
     if (e.successor == successor) {
-      return static_cast<double>(e.count) /
-             static_cast<double>(it->second.total);
+      return static_cast<double>(e.count) / static_cast<double>(node->total);
     }
   }
   return 0.0;
 }
 
-void ProbGraph::on_access(BlockId block, AccessOutcome outcome,
-                          Context& ctx) {
-  (void)outcome;
+void ProbGraph::observe(BlockId block) {
   if (has_previous_) {
     record_transition(previous_, block);
   }
   previous_ = block;
   has_previous_ = true;
-
-  std::uint32_t issued = 0;
-  const auto it = graph_.find(block);
-  if (it != graph_.end() && it->second.total > 0) {
-    const double total = static_cast<double>(it->second.total);
-    for (const Edge& edge : it->second.edges) {
-      if (issued >= config_.max_prefetches) {
-        break;
-      }
-      const double p = static_cast<double>(edge.count) / total;
-      if (p < config_.min_probability) {
-        break;  // sorted by count: the rest are weaker
-      }
-      ++ctx.metrics.candidates_chosen;
-      if (ctx.cache.contains(edge.successor)) {
-        ++ctx.metrics.candidates_already_cached;
-        continue;
-      }
-      if (ctx.cache.free_buffers() == 0) {
-        evict_prefetch_first(ctx);
-      }
-      cache::PrefetchEntry entry;
-      entry.block = edge.successor;
-      entry.probability = p;
-      entry.depth = 1;
-      entry.eject_cost = costben::cost_eject_prefetch(
-          ctx.timing, ctx.estimators.s(), p, /*d_b=*/1, /*x=*/0);
-      entry.obl = false;
-      entry.issued_period = ctx.period;
-      entry.completion_ms = ctx.disks.submit(edge.successor, ctx.now_ms);
-      ctx.cache.admit_prefetch(entry);
-      ++ctx.metrics.prefetches_issued;
-      ++ctx.metrics.tree_prefetches_issued;
-      ctx.metrics.sum_prefetch_probability += p;
-      ++issued;
-    }
-  }
-  ctx.estimators.end_period(issued);
-}
-
-void ProbGraph::reclaim_for_demand(Context& ctx) {
-  evict_prefetch_first(ctx);
 }
 
 }  // namespace pfp::core::policy

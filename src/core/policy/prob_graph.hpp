@@ -1,10 +1,10 @@
-// prob-graph: first-order probability-graph prefetching.
+// prob-graph's predictor: a first-order probability graph.
 //
 // A related-work baseline in the spirit of Griffioen & Appleton's
 // "Reducing File System Latency Using a Predictive Approach" (the
 // paper's reference [6], simplified to a one-access lookahead window):
-// for every block keep counts of which blocks immediately followed it,
-// and after each access prefetch the successors whose observed chance
+// for every block keep counts of which blocks immediately followed it;
+// the prob-graph policy prefetches the successors whose observed chance
 // exceeds a threshold.  Unlike the LZ tree this keeps no context deeper
 // than one block, so it confuses interleaved streams — comparing the two
 // predictors is bench/abl02_predictor_duel.
@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/policy/prefetcher.hpp"
+#include "core/policy/context.hpp"
 #include "util/flat_map.hpp"
 
 namespace pfp::core::policy {
@@ -26,22 +26,8 @@ struct ProbGraphConfig {
   std::uint32_t max_successors = 16;
 };
 
-class ProbGraph final : public Prefetcher {
+class ProbGraph {
  public:
-  ProbGraph();  // default config
-  explicit ProbGraph(ProbGraphConfig config);
-
-  [[nodiscard]] std::string name() const override { return "prob-graph"; }
-  void on_access(BlockId block, AccessOutcome outcome,
-                 Context& ctx) override;
-  void reclaim_for_demand(Context& ctx) override;
-
-  /// Observed P(next == successor | current == block); 0 if unknown.
-  [[nodiscard]] double successor_probability(BlockId block, BlockId successor) const;
-
-  [[nodiscard]] std::size_t tracked_blocks() const noexcept { return graph_.size(); }
-
- private:
   struct Edge {
     BlockId successor = 0;
     std::uint32_t count = 0;
@@ -51,6 +37,21 @@ class ProbGraph final : public Prefetcher {
     std::vector<Edge> edges;          ///< sorted by count, descending
   };
 
+  ProbGraph();  // default config
+  explicit ProbGraph(ProbGraphConfig config);
+
+  /// Records the transition from the previous reference to `block`.
+  void observe(BlockId block);
+
+  /// Departures observed from `block`; null if it never had a successor.
+  [[nodiscard]] const Node* find(BlockId block) const;
+
+  /// Observed P(next == successor | current == block); 0 if unknown.
+  [[nodiscard]] double successor_probability(BlockId block, BlockId successor) const;
+
+  [[nodiscard]] std::size_t tracked_blocks() const noexcept { return graph_.size(); }
+
+ private:
   void record_transition(BlockId from, BlockId to);
 
   ProbGraphConfig config_;

@@ -1,9 +1,8 @@
 // Engine configuration: everything a PrefetchEngine needs to run.
 //
-// Historically this struct lived in the simulator (sim::SimConfig); the
-// engine extraction moved it below the sim layer so embedding hosts can
-// construct engines without pulling in the trace-replay harness.
-// sim::SimConfig remains as an alias for source compatibility.
+// It sits below the sim layer so embedding hosts can construct engines
+// without pulling in the trace-replay harness; the simulator runs with
+// exactly this configuration.
 #pragma once
 
 #include <cstddef>

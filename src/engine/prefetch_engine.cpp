@@ -6,9 +6,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <typeinfo>
+#include <vector>
 
-#include "core/policy/dispatch.hpp"
 #include "util/assert.hpp"
 #include "util/binary_io.hpp"
 
@@ -18,35 +17,6 @@ using core::policy::AccessOutcome;
 using core::policy::Context;
 
 namespace {
-
-// Qualified-call proxy for the devirtualized run_trace() loops: `P` is
-// the exact dynamic type (asserted at dispatch), so P::member calls skip
-// the vtable and can inline.  Works for non-final policies too — kTree
-// maps to a TreeCostBenefit object even though subclasses of it exist.
-template <typename P>
-struct Direct {
-  P& p;
-  void on_access(trace::BlockId block, AccessOutcome outcome, Context& ctx) {
-    p.P::on_access(block, outcome, ctx);
-  }
-  void reclaim_for_demand(Context& ctx) { p.P::reclaim_for_demand(ctx); }
-  void on_prefetch_consumed(const cache::PrefetchEntry& entry, Context& ctx) {
-    p.P::on_prefetch_consumed(entry, ctx);
-  }
-};
-
-// Vtable proxy: the push/step paths and the fallback for policy kinds
-// without a dedicated loop.
-struct Virtual {
-  core::policy::Prefetcher& p;
-  void on_access(trace::BlockId block, AccessOutcome outcome, Context& ctx) {
-    p.on_access(block, outcome, ctx);
-  }
-  void reclaim_for_demand(Context& ctx) { p.reclaim_for_demand(ctx); }
-  void on_prefetch_consumed(const cache::PrefetchEntry& entry, Context& ctx) {
-    p.on_prefetch_consumed(entry, ctx);
-  }
-};
 
 // --- snapshot stream format (little-endian, util/binary_io.hpp) --------
 
@@ -70,7 +40,7 @@ PrefetchEngine::PrefetchEngine(EngineConfig config)
     : config_((validate(config), config)),
       cache_(config.cache_blocks),
       disks_(cache::DiskConfig{config.disks, config.timing.t_disk}),
-      policy_(core::policy::make_prefetcher(config.policy)),
+      policy_(config.policy),
       obs_(config.obs) {
   phase_clock_.arm(obs_.phase_cells());
 }
@@ -114,9 +84,8 @@ void PrefetchEngine::write_chrome_trace(std::ostream& out) const {
   obs::write_chrome_trace(out, rings);
 }
 
-template <typename PolicyRef>
 AccessOutcome PrefetchEngine::step_one(
-    PolicyRef policy, trace::BlockId block, std::uint64_t period,
+    trace::BlockId block, std::uint64_t period,
     std::span<const trace::TraceRecord> upcoming, Context& ctx,
     [[maybe_unused]] bool publish_each) {
   const double period_start = metrics_.elapsed_ms;
@@ -157,7 +126,7 @@ AccessOutcome PrefetchEngine::step_one(
     phase_clock_.mark(util::EnginePhase::kLookup);
     // Consumption feeds the estimator EWMAs, so its time is charged to
     // the predictor-update phase (closed by the policy's own mark).
-    policy.on_prefetch_consumed(pf->entry, ctx);
+    estimators_.prefetch_outcome(/*accessed=*/true, pf->entry.obl);
   } else {
     outcome = AccessOutcome::kMiss;
     ++metrics_.misses;
@@ -169,7 +138,7 @@ AccessOutcome PrefetchEngine::step_one(
     metrics_.stall_ms += stall;
     phase_clock_.mark(util::EnginePhase::kLookup);
     if (cache_.free_buffers() == 0) {
-      policy.reclaim_for_demand(ctx);
+      policy_.reclaim_for_demand(ctx);
       PFP_REQUIRE(cache_.free_buffers() >= 1);
     }
     cache_.admit_demand(block);
@@ -179,7 +148,7 @@ AccessOutcome PrefetchEngine::step_one(
   // Policy turn: learn from the access, then issue this period's
   // prefetches; each costs T_driver of CPU time (Figure 3b).
   const std::uint64_t issued_before = metrics_.policy.prefetches_issued;
-  policy.on_access(block, outcome, ctx);
+  policy_.on_access(block, outcome, ctx);
   const std::uint64_t issued =
       metrics_.policy.prefetches_issued - issued_before;
   metrics_.elapsed_ms +=
@@ -238,7 +207,7 @@ AccessResult PrefetchEngine::access(trace::BlockId block) {
   Context ctx = make_context();
   const double elapsed_before = metrics_.elapsed_ms;
   const AccessOutcome outcome =
-      step_one(Virtual{*policy_}, block, metrics_.accesses, {}, ctx);
+      step_one(block, metrics_.accesses, {}, ctx);
 
   AccessResult result;
   switch (outcome) {
@@ -260,39 +229,22 @@ AccessResult PrefetchEngine::access(trace::BlockId block) {
 
 void PrefetchEngine::step(const trace::Trace& trace, std::size_t index) {
   Context ctx = make_context();
-  step_one(Virtual{*policy_}, trace[index].block, index,
-           trace.records().subspan(index + 1), ctx);
-}
-
-template <typename PolicyRef>
-void PrefetchEngine::run_blocks(PolicyRef policy,
-                                std::span<const trace::BlockId> blocks,
-                                Context& ctx) {
-  // The batched inner loop: per-access setup (Context build, policy
-  // dispatch, observability publish) is hoisted to the batch boundary.
-  // `period` is the running access counter — exactly what the push-one
-  // path passes — so batched and push-one streams are bit-identical.
-  for (const trace::BlockId block : blocks) {
-    step_one(policy, block, metrics_.accesses, {}, ctx,
-             /*publish_each=*/false);
-  }
-  publish_observability();
+  step_one(trace[index].block, index, trace.records().subspan(index + 1),
+           ctx);
 }
 
 BatchResult PrefetchEngine::access_many(
     std::span<const trace::BlockId> blocks) {
   const Metrics before = metrics_;
+  // Per-access setup (Context build, observability publish) is hoisted
+  // to the batch boundary.  `period` is the running access counter —
+  // exactly what the push-one path passes — so batched and push-one
+  // streams are bit-identical.
   Context ctx = make_context();
-  core::policy::dispatch_kind(config_.policy.kind, [&](auto tag) {
-    using PolicyT = typename decltype(tag)::type;
-    if constexpr (std::is_same_v<PolicyT, core::policy::Prefetcher>) {
-      run_blocks(Virtual{*policy_}, blocks, ctx);  // vtable fallback
-    } else {
-      PFP_DASSERT(typeid(*policy_) == typeid(PolicyT));
-      run_blocks(Direct<PolicyT>{static_cast<PolicyT&>(*policy_)}, blocks,
-                 ctx);
-    }
-  });
+  for (const trace::BlockId block : blocks) {
+    step_one(block, metrics_.accesses, {}, ctx, /*publish_each=*/false);
+  }
+  publish_observability();
 
   BatchResult result;
   result.demand_hits = metrics_.demand_hits - before.demand_hits;
@@ -304,35 +256,16 @@ BatchResult PrefetchEngine::access_many(
   return result;
 }
 
-template <typename PolicyRef>
-void PrefetchEngine::run_loop(PolicyRef policy, const trace::Trace& trace) {
-  // One Context for the whole run; step_one refreshes the per-period
-  // fields (period, now_ms, upcoming) instead of rebuilding the struct
-  // of references every access.
-  Context ctx = make_context();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    step_one(policy, trace[i].block, i, trace.records().subspan(i + 1),
-             ctx);
-  }
-}
-
-template <typename PolicyT>
-void PrefetchEngine::run_as(const trace::Trace& trace) {
-  PFP_DASSERT(typeid(*policy_) == typeid(PolicyT));
-  run_loop(Direct<PolicyT>{static_cast<PolicyT&>(*policy_)}, trace);
-}
-
 void PrefetchEngine::run_trace(const trace::Trace& trace) {
   // Fast path: replay through the batched loop.  Valid whenever the
-  // per-index state run_loop supplies is reproducible without the trace:
+  // per-index state step() supplies is reproducible without the trace:
   // `period` (the trace index) must equal the running access counter —
   // true exactly when the engine starts fresh — and `upcoming` must be
-  // dead, which holds for every policy except the oracle
-  // perfect-selector (the only ctx.upcoming consumer).  Bit-identical on
-  // this path by the access_many contract; anything else replays through
-  // the indexed loop below.
+  // dead, which holds for every policy except the oracles.  Bit-identical
+  // on this path by the access_many contract; anything else replays
+  // through the indexed loop below.
   if (metrics_.accesses == 0 &&
-      config_.policy.kind != core::policy::PolicyKind::kPerfectSelector) {
+      !core::policy::reads_upcoming(config_.policy.kind)) {
     std::vector<trace::BlockId> blocks;
     blocks.reserve(trace.size());
     for (const trace::TraceRecord& record : trace.records()) {
@@ -341,14 +274,13 @@ void PrefetchEngine::run_trace(const trace::Trace& trace) {
     access_many(blocks);
     return;
   }
-  core::policy::dispatch_kind(config_.policy.kind, [&](auto tag) {
-    using PolicyT = typename decltype(tag)::type;
-    if constexpr (std::is_same_v<PolicyT, core::policy::Prefetcher>) {
-      run_loop(Virtual{*policy_}, trace);  // unknown kind: vtable fallback
-    } else {
-      run_as<PolicyT>(trace);
-    }
-  });
+  // One Context for the whole run; step_one refreshes the per-period
+  // fields (period, now_ms, upcoming) instead of rebuilding the struct
+  // of references every access.
+  Context ctx = make_context();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    step_one(trace[i].block, i, trace.records().subspan(i + 1), ctx);
+  }
 }
 
 void PrefetchEngine::snapshot(std::ostream& out) const {
@@ -403,11 +335,11 @@ void PrefetchEngine::snapshot(std::ostream& out) const {
 
   // Predictor state rides as an opaque, length-prefixed blob keyed by the
   // policy's FourCC tag — the engine never learns the family's format.
-  const std::uint32_t tag = policy_->predictor_state_tag();
+  const std::uint32_t tag = policy_.predictor_state_tag();
   util::write_u32(out, tag);
   if (tag != core::policy::kPredictorNone) {
     std::ostringstream blob;
-    policy_->save_predictor_state(blob);
+    policy_.save_predictor_state(blob);
     const std::string bytes = std::move(blob).str();
     util::write_u64(out, bytes.size());
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -507,11 +439,11 @@ void PrefetchEngine::restore(std::istream& in) {
       corrupt("truncated predictor-tree flag");
     }
     if (tree_flag == '\1') {
-      if (policy_->predictor_state_tag() != core::policy::kPredictorTree) {
+      if (policy_.predictor_state_tag() != core::policy::kPredictorTree) {
         corrupt("snapshot carries a predictor tree but the configured "
                 "policy has none");
       }
-      if (!policy_->load_predictor_state(in) || !in) {
+      if (!policy_.load_predictor_state(in) || !in) {
         corrupt("predictor-tree stream rejected by the policy");
       }
     }
@@ -520,7 +452,7 @@ void PrefetchEngine::restore(std::istream& in) {
     if (!in) {
       corrupt("truncated predictor tag");
     }
-    const std::uint32_t live_tag = policy_->predictor_state_tag();
+    const std::uint32_t live_tag = policy_.predictor_state_tag();
     if (tag != live_tag) {
       corrupt("predictor kind mismatch: snapshot carries " +
               core::policy::predictor_tag_name(tag) +
@@ -538,7 +470,7 @@ void PrefetchEngine::restore(std::istream& in) {
         corrupt("truncated predictor blob");
       }
       std::istringstream blob(std::move(bytes));
-      if (!policy_->load_predictor_state(blob)) {
+      if (!policy_.load_predictor_state(blob)) {
         corrupt("predictor blob rejected by the policy");
       }
       if (blob.peek() != std::istream::traits_type::eof()) {

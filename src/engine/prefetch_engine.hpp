@@ -13,21 +13,20 @@
 //   }
 //
 // The trace driver (sim::Simulator) is a thin shell over this class;
-// the devirtualized per-policy batch loops live here so replay
-// throughput and embedded behaviour can never drift apart.
+// every entry point runs the same per-access step, so replay throughput
+// and embedded behaviour can never drift apart.
 // Layering: engine/ sits between core/ and sim/ and must not include
 // sim/ (enforced by scripts/lint/check_conventions.py).
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <span>
 
 #include "cache/buffer_cache.hpp"
 #include "cache/disk_model.hpp"
 #include "cache/stack_distance.hpp"
 #include "core/costben/estimator.hpp"
-#include "core/policy/factory.hpp"
+#include "core/policy/prefetcher.hpp"
 #include "engine/config.hpp"
 #include "engine/metrics.hpp"
 #include "obs/engine_obs.hpp"
@@ -71,11 +70,10 @@ class PrefetchEngine {
 
   /// Batched push: feeds a whole run of references through the same
   /// state machine with the per-access setup hoisted out of the inner
-  /// loop — the Context is built once, the policy dispatch is resolved
-  /// once to a devirtualized loop (like run_trace), and the
-  /// observability mirror is published once per batch instead of once
-  /// per access (one stats-gate write section; the trace ring still
-  /// records every access).  Bit-identical to calling access() for each
+  /// loop — the Context is built once and the observability mirror is
+  /// published once per batch instead of once per access (one
+  /// stats-gate write section; the trace ring still records every
+  /// access).  Bit-identical to calling access() for each
   /// block in order — metrics, decisions and final observability all
   /// match; only the live-scrape granularity coarsens to batch
   /// boundaries.  This is the shard workers' pull path and the fast
@@ -86,10 +84,8 @@ class PrefetchEngine {
   /// except oracle policies can see the rest of the trace.
   void step(const trace::Trace& trace, std::size_t index);
 
-  /// Replay entry point for a whole trace: dispatches to a devirtualized
-  /// per-policy loop (qualified calls on the exact dynamic type the
-  /// factory guarantees), falling back to the vtable for unknown kinds.
-  /// Bit-identical to calling step() for each index in order.
+  /// Replay entry point for a whole trace.  Bit-identical to calling
+  /// step() for each index in order.
   void run_trace(const trace::Trace& trace);
 
   [[nodiscard]] const cache::BufferCache& buffer_cache() const noexcept {
@@ -97,7 +93,7 @@ class PrefetchEngine {
   }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const core::policy::Prefetcher& prefetcher() const noexcept {
-    return *policy_;
+    return policy_;
   }
   [[nodiscard]] const EngineConfig& config() const noexcept {
     return config_;
@@ -132,26 +128,14 @@ class PrefetchEngine {
   void write_chrome_trace(std::ostream& out) const;
 
  private:
-  // The per-access pipeline is shared verbatim between the push/step
-  // paths (virtual dispatch) and the devirtualized per-policy loops
-  // run_trace() dispatches to, so the two can never drift apart.
-  // `PolicyRef` is a dispatch proxy: Virtual goes through the vtable,
-  // Direct<P> makes qualified calls on the exact dynamic type.
-  // `publish_each` lets the batched paths hoist the per-access
-  // observability publish out of the inner loop (they publish once per
-  // batch); it never affects metrics or decisions.
-  template <typename PolicyRef>
+  // The per-access pipeline every entry point shares.  `publish_each`
+  // lets the batched paths hoist the per-access observability publish
+  // out of the inner loop (they publish once per batch); it never
+  // affects metrics or decisions.
   core::policy::AccessOutcome step_one(
-      PolicyRef policy, trace::BlockId block, std::uint64_t period,
+      trace::BlockId block, std::uint64_t period,
       std::span<const trace::TraceRecord> upcoming,
       core::policy::Context& ctx, bool publish_each = true);
-  template <typename PolicyRef>
-  void run_loop(PolicyRef policy, const trace::Trace& trace);
-  template <typename PolicyRef>
-  void run_blocks(PolicyRef policy, std::span<const trace::BlockId> blocks,
-                  core::policy::Context& ctx);
-  template <typename PolicyT>
-  void run_as(const trace::Trace& trace);
   [[nodiscard]] core::policy::Context make_context();
   /// Publishes the deterministic metrics into the lock-free obs cells
   /// (one SnapshotGate write section); no-op when PFP_OBS is off.
@@ -162,7 +146,7 @@ class PrefetchEngine {
   cache::DiskArray disks_;
   cache::StackDistanceEstimator stack_;
   core::costben::Estimators estimators_;
-  std::unique_ptr<core::policy::Prefetcher> policy_;
+  core::policy::Prefetcher policy_;
   Metrics metrics_;
   obs::EngineObs obs_;
   util::PhaseStopwatch phase_clock_;

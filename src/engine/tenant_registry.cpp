@@ -33,10 +33,10 @@ TenantStatus set_policy_by_name(TenantConfig& config, const std::string& name,
 Tenant::Tenant(TenantConfig config) : config_(std::move(config)) {
   // A served tenant only ever sees the past; an oracle would run with no
   // lookahead and prefetch nothing while still labelled an oracle.
-  if (config_.engine.policy.kind ==
-      core::policy::PolicyKind::kPerfectSelector) {
+  if (core::policy::reads_upcoming(config_.engine.policy.kind)) {
     throw std::invalid_argument(
-        "perfect-selector needs future knowledge and cannot run online");
+        core::policy::kind_name(config_.engine.policy.kind) +
+        " needs future knowledge and cannot run online");
   }
   if (config_.shards >= 2) {
     sharded_ = std::make_unique<ShardedEngine>(sharded_config(config_));

@@ -12,7 +12,7 @@ Result Simulator::run(const trace::Trace& trace) {
   return result;
 }
 
-Result simulate(const SimConfig& config, const trace::Trace& trace) {
+Result simulate(const engine::EngineConfig& config, const trace::Trace& trace) {
   Simulator simulator(config);
   return simulator.run(trace);
 }

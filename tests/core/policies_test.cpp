@@ -5,7 +5,7 @@
 #include <set>
 #include <string>
 
-#include "core/policy/factory.hpp"
+#include "core/policy/prefetcher.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
 #include "util/prng.hpp"
@@ -13,7 +13,6 @@
 namespace pfp::core::policy {
 namespace {
 
-using sim::SimConfig;
 using sim::simulate;
 using trace::BlockId;
 using trace::Trace;
@@ -45,8 +44,8 @@ Trace repeated_scattered_trace(int rounds) {
   return t;
 }
 
-SimConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
-  SimConfig c;
+engine::EngineConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   return c;
@@ -58,9 +57,8 @@ TEST(Policies, FactoryMakesEveryKind) {
   for (const PolicyKind kind : all_policy_kinds()) {
     PolicySpec spec;
     spec.kind = kind;
-    const auto p = make_prefetcher(spec);
-    ASSERT_NE(p, nullptr) << kind_name(kind);
-    EXPECT_FALSE(p->name().empty()) << kind_name(kind);
+    const Prefetcher p(spec);
+    EXPECT_FALSE(p.name().empty()) << kind_name(kind);
   }
 }
 
@@ -96,10 +94,10 @@ TEST(Policies, ParametricNamesIncludeParameter) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTreeThreshold;
   spec.threshold = 0.125;
-  EXPECT_EQ(make_prefetcher(spec)->name(), "tree-threshold(0.125)");
+  EXPECT_EQ(Prefetcher(spec).name(), "tree-threshold(0.125)");
   spec.kind = PolicyKind::kTreeChildren;
   spec.children = 7;
-  EXPECT_EQ(make_prefetcher(spec)->name(), "tree-children(7)");
+  EXPECT_EQ(Prefetcher(spec).name(), "tree-children(7)");
 }
 
 TEST(Policies, NoPrefetchNeverPrefetches) {
@@ -202,7 +200,7 @@ TEST(Policies, TreeThresholdPrefetchesLikelyChildren) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTreeThreshold;
   spec.threshold = 0.2;
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 16;
   c.policy = spec;
   const auto r = simulate(c, repeated_scattered_trace(100));
@@ -215,7 +213,7 @@ TEST(Policies, TreeChildrenPrefetchesTopK) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTreeChildren;
   spec.children = 1;
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 16;
   c.policy = spec;
   const auto r = simulate(c, repeated_scattered_trace(100));
@@ -235,7 +233,7 @@ TEST(Policies, TreeRespectsNodeBudget) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTree;
   spec.tree.tree.max_nodes = 128;
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy = spec;
   const auto r = simulate(c, repeated_scattered_trace(200));

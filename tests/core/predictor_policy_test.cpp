@@ -1,16 +1,13 @@
 // The markov / assoc policies under the generic predictor-state
-// interface: candidate flow into the shared cost-benefit loop, the
-// opaque serialize/restore virtuals, and typed candidate introspection.
+// interface: candidate flow into the shared cost-benefit loop and the
+// opaque serialize/restore round trip.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
-#include "core/policy/assoc_policy.hpp"
-#include "core/policy/factory.hpp"
-#include "core/policy/markov_policy.hpp"
+#include "core/policy/prefetcher.hpp"
 #include "policy_harness.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
@@ -43,11 +40,17 @@ trace::Trace interleaved_pair_trace(int reps) {
   return t;
 }
 
-sim::SimConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
-  sim::SimConfig c;
+engine::EngineConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   return c;
+}
+
+PolicySpec spec_for(PolicyKind kind) {
+  PolicySpec spec;
+  spec.kind = kind;
+  return spec;
 }
 
 /// Hand-feeds a trace through a bare policy (no engine): enough to train
@@ -83,39 +86,39 @@ TEST(MarkovPolicy, ReportsPredictorSizeCounters) {
   EXPECT_GT(r.metrics.policy.tree_bytes, 0u);
 }
 
+/// The opaque predictor blob a policy saves.
+std::string saved_state(const Prefetcher& policy) {
+  std::stringstream blob;
+  policy.save_predictor_state(blob);
+  return blob.str();
+}
+
+/// Restores `trained`'s blob into a fresh policy of the same spec and
+/// checks the restored predictor saves the identical bytes.
+void expect_state_round_trips(const PolicySpec& spec, Prefetcher& trained,
+                              std::uint32_t tag) {
+  EXPECT_EQ(trained.predictor_state_tag(), tag);
+  const std::string blob = saved_state(trained);
+  ASSERT_NE(blob, saved_state(Prefetcher(spec))) << "nothing was learned";
+
+  Prefetcher restored(spec);
+  std::stringstream in(blob);
+  EXPECT_TRUE(restored.load_predictor_state(in));
+  EXPECT_EQ(saved_state(restored), blob);
+}
+
 TEST(MarkovPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
   testing::Harness h(64);
-  MarkovCostBenefit trained;
+  const PolicySpec spec = spec_for(PolicyKind::kMarkov);
+  Prefetcher trained(spec);
   feed(trained, h, strided_trace(200, 4));
-  EXPECT_EQ(trained.predictor_state_tag(), kPredictorMarkov);
-  ASSERT_GT(trained.model().row_count(), 0u);
-
-  std::stringstream blob;
-  trained.save_predictor_state(blob);
-  MarkovCostBenefit restored;
-  EXPECT_TRUE(restored.load_predictor_state(blob));
-  EXPECT_EQ(restored.model().row_count(), trained.model().row_count());
-  EXPECT_EQ(restored.model().transition_count(),
-            trained.model().transition_count());
+  expect_state_round_trips(spec, trained, kPredictorMarkov);
 }
 
 TEST(MarkovPolicy, LoadRejectsForeignBlobs) {
-  MarkovCostBenefit policy;
+  Prefetcher policy(spec_for(PolicyKind::kMarkov));
   std::stringstream junk("PFTRnot-a-markov-stream");
   EXPECT_THROW(policy.load_predictor_state(junk), std::runtime_error);
-}
-
-TEST(MarkovPolicy, PredictionsIntoReportsTypedCandidates) {
-  testing::Harness h(64);
-  MarkovCostBenefit policy;
-  feed(policy, h, strided_trace(41, 4));  // last access: block 160
-  std::vector<costben::PredictedBlock> out;
-  const std::size_t n = policy.predictions_into(out);
-  ASSERT_GT(n, 0u);
-  ASSERT_EQ(out.size(), n);
-  EXPECT_EQ(out[0].block, 164u);
-  EXPECT_GT(out[0].probability, 0.0);
-  EXPECT_EQ(out[0].depth, 1u);
 }
 
 trace::Trace rotating_pairs_trace(int cycles, int pairs) {
@@ -150,56 +153,27 @@ TEST(AssocPolicy, PrefetchesAMinedAssociation) {
 
 TEST(AssocPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
   testing::Harness h(64);
-  AssocPolicyConfig config;
-  config.miner.window = 16;
-  config.miner.lookahead = 4;
-  AssocCostBenefit trained(config);
+  PolicySpec spec = spec_for(PolicyKind::kAssoc);
+  spec.assoc.miner.window = 16;
+  spec.assoc.miner.lookahead = 4;
+  Prefetcher trained(spec);
   feed(trained, h, interleaved_pair_trace(8));
-  EXPECT_EQ(trained.predictor_state_tag(), kPredictorAssoc);
-  ASSERT_GT(trained.miner().row_count(), 0u);
-
-  std::stringstream blob;
-  trained.save_predictor_state(blob);
-  AssocCostBenefit restored(config);
-  EXPECT_TRUE(restored.load_predictor_state(blob));
-  EXPECT_EQ(restored.miner().row_count(), trained.miner().row_count());
-  EXPECT_EQ(restored.miner().association_count(),
-            trained.miner().association_count());
+  expect_state_round_trips(spec, trained, kPredictorAssoc);
 }
 
 TEST(AssocPolicy, LoadRejectsForeignBlobs) {
-  AssocCostBenefit policy;
+  Prefetcher policy(spec_for(PolicyKind::kAssoc));
   std::stringstream junk("PFMKnot-an-association-stream");
   EXPECT_THROW(policy.load_predictor_state(junk), std::runtime_error);
 }
 
-TEST(AssocPolicy, PredictionsIntoReportsTypedCandidates) {
-  testing::Harness h(64);
-  AssocPolicyConfig config;
-  config.miner.window = 16;
-  config.miner.lookahead = 4;
-  AssocCostBenefit policy(config);
-  trace::Trace t = interleaved_pair_trace(8);
-  t.append(100);  // park the introspection point on the trained source
-  feed(policy, h, t);
-  std::vector<costben::PredictedBlock> out;
-  const std::size_t n = policy.predictions_into(out);
-  ASSERT_GT(n, 0u);
-  ASSERT_EQ(out.size(), n);
-  EXPECT_EQ(out[0].block, 200u);
-  EXPECT_GT(out[0].probability, 0.0);
-}
-
 TEST(PredictorInterface, BaselinePoliciesCarryNoState) {
-  const PolicySpec spec;  // kNoPrefetch
-  const auto policy = make_prefetcher(spec);
-  EXPECT_EQ(policy->predictor_state_tag(), kPredictorNone);
-  std::vector<costben::PredictedBlock> out;
-  EXPECT_EQ(policy->predictions_into(out), 0u);
+  Prefetcher policy(PolicySpec{});  // kNoPrefetch
+  EXPECT_EQ(policy.predictor_state_tag(), kPredictorNone);
   std::stringstream blob;
-  policy->save_predictor_state(blob);
+  policy.save_predictor_state(blob);
   EXPECT_TRUE(blob.str().empty());
-  EXPECT_FALSE(policy->load_predictor_state(blob));
+  EXPECT_FALSE(policy.load_predictor_state(blob));
 }
 
 TEST(PredictorInterface, TagNamesAreHumanReadable) {
@@ -231,11 +205,8 @@ TEST(PredictorInterface, FactoryKindsReportTheirFamilyTag) {
   };
   EXPECT_EQ(std::size(expected), all_policy_kinds().size());
   for (const auto& row : expected) {
-    PolicySpec spec;
-    spec.kind = row.kind;
-    const auto policy = make_prefetcher(spec);
-    EXPECT_EQ(policy->predictor_state_tag(), row.tag)
-        << kind_name(row.kind);
+    const Prefetcher policy(spec_for(row.kind));
+    EXPECT_EQ(policy.predictor_state_tag(), row.tag) << kind_name(row.kind);
   }
 }
 

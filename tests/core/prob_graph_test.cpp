@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/policy/factory.hpp"
+#include "core/policy/prefetcher.hpp"
 #include "policy_harness.hpp"
 #include "sim/simulator.hpp"
 #include "util/prng.hpp"
@@ -12,28 +12,39 @@ namespace {
 
 using testing::Harness;
 
-Context& drive(ProbGraph& policy, Harness& h,
-               std::initializer_list<BlockId> blocks) {
+PolicySpec graph_spec(ProbGraphConfig config = {}) {
+  PolicySpec spec;
+  spec.kind = PolicyKind::kProbGraph;
+  spec.graph = config;
+  return spec;
+}
+
+void drive(Prefetcher& policy, Harness& h,
+           std::initializer_list<BlockId> blocks) {
   for (const BlockId b : blocks) {
     policy.on_access(b, AccessOutcome::kMiss, h.ctx);
   }
-  return h.ctx;
+}
+
+void drive(ProbGraph& graph, std::initializer_list<BlockId> blocks) {
+  for (const BlockId b : blocks) {
+    graph.observe(b);
+  }
 }
 
 TEST(ProbGraph, LearnsTransitionProbabilities) {
-  Harness h(64);
-  ProbGraph policy;
-  drive(policy, h, {1u, 2u, 1u, 2u, 1u, 3u});
+  ProbGraph graph;
+  drive(graph, {1u, 2u, 1u, 2u, 1u, 3u});
   // From 1: saw 2 twice and 3 once.
-  EXPECT_NEAR(policy.successor_probability(1, 2), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(policy.successor_probability(1, 3), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(policy.successor_probability(2, 3), 0.0);
-  EXPECT_DOUBLE_EQ(policy.successor_probability(99, 1), 0.0);
+  EXPECT_NEAR(graph.successor_probability(1, 2), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(graph.successor_probability(1, 3), 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(graph.successor_probability(2, 3), 0.0);
+  EXPECT_DOUBLE_EQ(graph.successor_probability(99, 1), 0.0);
 }
 
 TEST(ProbGraph, PrefetchesLikelySuccessor) {
   Harness h(64);
-  ProbGraph policy;
+  Prefetcher policy(graph_spec());
   drive(policy, h, {1u, 2u, 1u, 2u, 1u});
   // After the final access of 1, successor 2 has p = 1.0 >= cutoff and
   // must have been prefetched.
@@ -45,7 +56,7 @@ TEST(ProbGraph, RespectsProbabilityCutoff) {
   ProbGraphConfig config;
   config.min_probability = 0.9;
   Harness h(64);
-  ProbGraph policy(config);
+  Prefetcher policy(graph_spec(config));
   // Train 1 -> {2,3} at 50% each (drop anything prefetched while the
   // early estimate was still 100%), then check the final access issues
   // nothing: both successors are below the 0.9 cutoff.
@@ -63,27 +74,24 @@ TEST(ProbGraph, RespectsProbabilityCutoff) {
 TEST(ProbGraph, CapsSuccessorsPerBlock) {
   ProbGraphConfig config;
   config.max_successors = 2;
-  Harness h(64);
-  ProbGraph policy(config);
+  ProbGraph graph(config);
   // Four different successors of block 1; only 2 can be retained.
-  drive(policy, h, {1u, 10u, 1u, 11u, 1u, 12u, 1u, 13u});
+  drive(graph, {1u, 10u, 1u, 11u, 1u, 12u, 1u, 13u});
   int known = 0;
   for (const BlockId s : {10u, 11u, 12u, 13u}) {
-    if (policy.successor_probability(1, s) > 0.0) {
+    if (graph.successor_probability(1, s) > 0.0) {
       ++known;
     }
   }
   EXPECT_LE(known, 2);
   // Tracked = blocks with observed departures: 1, 10, 11, 12 (13 is the
   // final access and never departs).
-  EXPECT_EQ(policy.tracked_blocks(), 4u);
+  EXPECT_EQ(graph.tracked_blocks(), 4u);
 }
 
 TEST(ProbGraph, FactoryIntegration) {
-  PolicySpec spec;
-  spec.kind = PolicyKind::kProbGraph;
-  const auto p = make_prefetcher(spec);
-  EXPECT_EQ(p->name(), "prob-graph");
+  const Prefetcher p(graph_spec());
+  EXPECT_EQ(p.name(), "prob-graph");
   EXPECT_EQ(kind_from_name("prob-graph"), PolicyKind::kProbGraph);
 }
 
@@ -93,7 +101,7 @@ TEST(ProbGraph, BeatsNothingOnAlternatingPattern) {
   for (int i = 0; i < 2'000; ++i) {
     t.append(i % 2 == 0 ? 100 : 200);
   }
-  sim::SimConfig config;
+  engine::EngineConfig config;
   config.cache_blocks = 4;
   config.policy.kind = PolicyKind::kProbGraph;
   const auto r = sim::simulate(config, t);
@@ -122,7 +130,7 @@ TEST(ProbGraph, LosesToTreeOnInterleavedStreams) {
       p2 = (p2 + 1) % s2.size();
     }
   }
-  sim::SimConfig config;
+  engine::EngineConfig config;
   config.cache_blocks = 16;  // smaller than the combined pattern
   config.policy.kind = PolicyKind::kProbGraph;
   const auto graph = sim::simulate(config, t);

@@ -1,8 +1,6 @@
-#include "core/policy/tree_adaptive.hpp"
-
 #include <gtest/gtest.h>
 
-#include "core/policy/factory.hpp"
+#include "core/policy/prefetcher.hpp"
 #include "sim/simulator.hpp"
 #include "util/prng.hpp"
 
@@ -12,23 +10,23 @@ namespace {
 TEST(TreeAdaptive, FactoryIntegration) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTreeAdaptive;
-  const auto p = make_prefetcher(spec);
-  EXPECT_EQ(p->name(), "tree-adaptive");
+  const Prefetcher p(spec);
+  EXPECT_EQ(p.name(), "tree-adaptive");
   EXPECT_EQ(kind_from_name("tree-adaptive"), PolicyKind::kTreeAdaptive);
 }
 
 TEST(TreeAdaptive, FloorStartsAtInitial) {
   AdaptiveConfig config;
   config.initial_floor = 0.03;
-  TreeAdaptive policy(TreePolicyConfig{}, config);
-  EXPECT_DOUBLE_EQ(policy.probability_floor(), 0.03);
+  const AdaptiveFloor floor(config);
+  EXPECT_DOUBLE_EQ(floor.value(), 0.03);
 }
 
 TEST(TreeAdaptive, RejectsInvalidConfig) {
   AdaptiveConfig bad;
   bad.min_floor = 0.5;
   bad.initial_floor = 0.1;  // min > initial
-  EXPECT_DEATH(TreeAdaptive(TreePolicyConfig{}, bad), "precondition");
+  EXPECT_DEATH(AdaptiveFloor{bad}, "precondition");
 }
 
 TEST(TreeAdaptive, FloorTightensOnNoisyWorkload) {
@@ -50,7 +48,7 @@ TEST(TreeAdaptive, FloorTightensOnNoisyWorkload) {
       pos = (pos + 1) % pattern.size();
     }
   }
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = PolicyKind::kTreeAdaptive;
   const auto adaptive = sim::simulate(c, t);
@@ -77,7 +75,7 @@ TEST(TreeAdaptive, MatchesTreeOnCleanPattern) {
       t.append(b);
     }
   }
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 16;
   c.policy.kind = PolicyKind::kTreeAdaptive;
   const auto adaptive = sim::simulate(c, t);
@@ -93,7 +91,7 @@ TEST(TreeAdaptive, DeterministicRuns) {
   for (int i = 0; i < 5'000; ++i) {
     t.append(rng.below(300));
   }
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = PolicyKind::kTreeAdaptive;
   const auto a = sim::simulate(c, t);

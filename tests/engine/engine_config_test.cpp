@@ -64,22 +64,58 @@ TEST(EngineConfigValidate, RejectsNanTiming) {
 
 TEST(EngineConfigValidate, RejectsOblQuotaOutsideUnitInterval) {
   EngineConfig c = good_config();
-  c.policy.obl_quota = -0.1;
-  EXPECT_THROW(validate(c), std::invalid_argument);
-  c.policy.obl_quota = 1.5;
-  EXPECT_THROW(validate(c), std::invalid_argument);
+  for (const double quota : {-0.1, 0.0, 1.5}) {
+    c.policy.obl_quota = quota;
+    EXPECT_THROW(validate(c), std::invalid_argument) << quota;
+  }
 }
 
 TEST(EngineConfigValidate, RejectsThresholdOutsideUnitInterval) {
   EngineConfig c = good_config();
-  c.policy.threshold = 2.0;
-  EXPECT_THROW(validate(c), std::invalid_argument);
+  for (const double threshold : {0.0, 2.0}) {
+    c.policy.threshold = threshold;
+    EXPECT_THROW(validate(c), std::invalid_argument) << threshold;
+  }
 }
 
 TEST(EngineConfigValidate, RejectsGraphMinProbabilityOutsideUnitInterval) {
   EngineConfig c = good_config();
-  c.policy.graph.min_probability = -0.5;
+  for (const double p : {-0.5, 0.0}) {
+    c.policy.graph.min_probability = p;
+    EXPECT_THROW(validate(c), std::invalid_argument) << p;
+  }
+}
+
+TEST(EngineConfigValidate, RejectsZeroGraphBounds) {
+  EngineConfig c = good_config();
+  c.policy.graph.max_prefetches = 0;
   EXPECT_THROW(validate(c), std::invalid_argument);
+  c = good_config();
+  c.policy.graph.max_successors = 0;
+  EXPECT_THROW(validate(c), std::invalid_argument);
+}
+
+TEST(EngineConfigValidate, RejectsInconsistentAdaptiveFloor) {
+  using core::policy::AdaptiveConfig;
+  const struct {
+    const char* what;
+    void (*breaks)(AdaptiveConfig&);
+  } cases[] = {
+      {"min_floor = 0", [](AdaptiveConfig& a) { a.min_floor = 0.0; }},
+      {"min_floor > initial_floor",
+       [](AdaptiveConfig& a) { a.min_floor = a.initial_floor * 2.0; }},
+      {"initial_floor > max_floor",
+       [](AdaptiveConfig& a) { a.initial_floor = a.max_floor * 2.0; }},
+      {"h_low >= h_high", [](AdaptiveConfig& a) { a.h_low = a.h_high; }},
+      {"tighten_factor <= 1",
+       [](AdaptiveConfig& a) { a.tighten_factor = 1.0; }},
+      {"relax_factor >= 1", [](AdaptiveConfig& a) { a.relax_factor = 1.0; }},
+  };
+  for (const auto& row : cases) {
+    EngineConfig c = good_config();
+    row.breaks(c.policy.adaptive);
+    EXPECT_THROW(validate(c), std::invalid_argument) << row.what;
+  }
 }
 
 TEST(EngineConfigValidate, RejectsZeroChildren) {
@@ -90,7 +126,7 @@ TEST(EngineConfigValidate, RejectsZeroChildren) {
 
 TEST(EngineConfigValidate, RejectsZeroPrefetchBudget) {
   EngineConfig c = good_config();
-  c.policy.tree.max_prefetches_per_period = 0;
+  c.policy.controller.max_prefetches_per_period = 0;
   EXPECT_THROW(validate(c), std::invalid_argument);
 }
 

@@ -9,7 +9,9 @@
 // the stats() retry loop are compiled unconditionally; only the
 // phase-cell internals are stubbed, which the sample test accounts for.
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -43,22 +45,28 @@ TEST(SnapshotGateStress, StalledWriterForcesInconsistentFallback) {
 // Live contention: a writer hammers paired cells in lockstep under the
 // gate while a reader scrapes.  Every snapshot the reader accepts as
 // consistent must show the pairing; inconsistent snapshots are allowed
-// (that is the documented fallback) but must still carry sane values.
+// (that is the documented fallback) but each cell must still hold a value
+// the writer actually published.  The writer stops after at most
+// kPublishes writes and reports how many it made, so that set is known
+// exactly however fast the writer runs relative to the reader.
 TEST(SnapshotGateStress, ConsistentSnapshotsAreNeverTorn) {
+  constexpr std::uint64_t kPublishes = 1'000'000;
   EngineObs obs{ObsOptions{}};
   std::atomic<bool> stop{false};
+  std::uint64_t published = 0;  // read only after join()
 
   std::thread writer([&] {
     auto& gate = obs.gate();
     auto& counters = obs.counters();
     gate.assert_writer();
     counters.assert_writer();
-    for (std::uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+    while (published < kPublishes && !stop.load(std::memory_order_relaxed)) {
+      ++published;
       gate.begin_write();
-      counters.accesses.set(i);
-      counters.misses.set(2 * i);
+      counters.accesses.set(published);
+      counters.misses.set(2 * published);
       gate.end_write();
-      if ((i & 0xff) == 0) {
+      if ((published & 0xff) == 0) {
         std::this_thread::yield();  // let the reader through on 1 CPU
       }
     }
@@ -66,6 +74,8 @@ TEST(SnapshotGateStress, ConsistentSnapshotsAreNeverTorn) {
 
   int consistent_reads = 0;
   int fallback_reads = 0;
+  std::uint64_t max_fallback_accesses = 0;
+  std::uint64_t max_fallback_misses = 0;
   for (int i = 0; i < 20000 && consistent_reads < 500; ++i) {
     const EngineStats s = obs.stats();
     if (s.consistent) {
@@ -74,14 +84,19 @@ TEST(SnapshotGateStress, ConsistentSnapshotsAreNeverTorn) {
       ++consistent_reads;
     } else {
       // The fallback cut may mix two periods but each cell is still a
-      // real published value, never garbage.
-      EXPECT_LE(s.accesses, std::uint64_t{40000});
+      // real published value, never garbage: misses only ever held even
+      // values; both ceilings are checked once the writer has stopped.
+      EXPECT_EQ(s.misses % 2, 0u);
+      max_fallback_accesses = std::max(max_fallback_accesses, s.accesses);
+      max_fallback_misses = std::max(max_fallback_misses, s.misses);
       ++fallback_reads;
       std::this_thread::yield();
     }
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
+  EXPECT_LE(max_fallback_accesses, published);
+  EXPECT_LE(max_fallback_misses, 2 * published);
   EXPECT_GT(consistent_reads, 0)
       << "reader never won the seqlock race (fallbacks: "
       << fallback_reads << ")";

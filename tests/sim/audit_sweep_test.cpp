@@ -8,7 +8,6 @@
 #include <cstddef>
 
 #include "core/policy/factory.hpp"
-#include "core/policy/tree_policy.hpp"
 #include "sim/simulator.hpp"
 #include "trace/workloads.hpp"
 #include "util/audit.hpp"
@@ -31,7 +30,7 @@ TEST_P(SimulatorAuditSweep, InvariantsHoldThroughoutRun) {
   const trace::Trace t = trace::make_workload(GetParam(), 2'000, /*seed=*/7);
   for (const PolicyKind kind :
        {PolicyKind::kTree, PolicyKind::kNextLimit, PolicyKind::kProbGraph}) {
-    SimConfig config;
+    engine::EngineConfig config;
     config.cache_blocks = 64;
     config.policy.kind = kind;
     Simulator simulator(config);
@@ -41,17 +40,11 @@ TEST_P(SimulatorAuditSweep, InvariantsHoldThroughoutRun) {
         // The default abort handler is active: a violated invariant kills
         // the test with the audit message rather than failing an EXPECT.
         simulator.buffer_cache().audit();
-        if (const auto* tp = dynamic_cast<const core::policy::TreeCostBenefit*>(
-                &simulator.prefetcher())) {
-          tp->audit_enumeration_cache();
-        }
+        simulator.prefetcher().audit();
       }
     }
     simulator.buffer_cache().audit();
-    if (const auto* tp = dynamic_cast<const core::policy::TreeCostBenefit*>(
-            &simulator.prefetcher())) {
-      tp->audit_enumeration_cache();
-    }
+    simulator.prefetcher().audit();
   }
 }
 

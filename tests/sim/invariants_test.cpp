@@ -15,7 +15,7 @@ class StepInvariants : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(StepInvariants, HoldAfterEveryAccess) {
   const auto t = trace::make_workload(trace::Workload::kSnake, 15'000);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = GetParam();
   Simulator sim(c);

@@ -1,4 +1,4 @@
-#include "sim/metrics.hpp"
+#include "engine/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@ namespace pfp::sim {
 namespace {
 
 TEST(Metrics, ZeroSafeOnEmpty) {
-  const Metrics m;
+  const engine::Metrics m;
   EXPECT_DOUBLE_EQ(m.miss_rate(), 0.0);
   EXPECT_DOUBLE_EQ(m.prefetch_cache_hit_rate(), 0.0);
   EXPECT_DOUBLE_EQ(m.prefetches_per_access(), 0.0);
@@ -17,7 +17,7 @@ TEST(Metrics, ZeroSafeOnEmpty) {
 }
 
 TEST(Metrics, MissRate) {
-  Metrics m;
+  engine::Metrics m;
   m.accesses = 10;
   m.misses = 3;
   EXPECT_DOUBLE_EQ(m.miss_rate(), 0.3);
@@ -25,35 +25,35 @@ TEST(Metrics, MissRate) {
 }
 
 TEST(Metrics, PrefetchCacheHitRate) {
-  Metrics m;
+  engine::Metrics m;
   m.prefetch_hits = 30;
   m.policy.prefetches_issued = 40;
   EXPECT_DOUBLE_EQ(m.prefetch_cache_hit_rate(), 0.75);
 }
 
 TEST(Metrics, PrefetchesPerAccess) {
-  Metrics m;
+  engine::Metrics m;
   m.accesses = 100;
   m.policy.prefetches_issued = 150;
   EXPECT_DOUBLE_EQ(m.prefetches_per_access(), 1.5);
 }
 
 TEST(Metrics, MeanPrefetchProbability) {
-  Metrics m;
+  engine::Metrics m;
   m.policy.tree_prefetches_issued = 4;
   m.policy.sum_prefetch_probability = 2.0;
   EXPECT_DOUBLE_EQ(m.mean_prefetch_probability(), 0.5);
 }
 
 TEST(Metrics, CandidatesCachedFraction) {
-  Metrics m;
+  engine::Metrics m;
   m.policy.candidates_chosen = 8;
   m.policy.candidates_already_cached = 6;
   EXPECT_DOUBLE_EQ(m.candidates_cached_fraction(), 0.75);
 }
 
 TEST(Metrics, PredictionMetrics) {
-  Metrics m;
+  engine::Metrics m;
   m.accesses = 100;
   m.policy.predictable = 60;
   m.policy.predictable_uncached = 9;
@@ -62,7 +62,7 @@ TEST(Metrics, PredictionMetrics) {
 }
 
 TEST(Metrics, LvcMetrics) {
-  Metrics m;
+  engine::Metrics m;
   m.policy.lvc_opportunities = 50;
   m.policy.lvc_followed = 35;
   m.policy.lvc_checks = 40;
@@ -72,14 +72,14 @@ TEST(Metrics, LvcMetrics) {
 }
 
 TEST(Metrics, TrafficRatio) {
-  Metrics m;
+  engine::Metrics m;
   m.misses = 100;
   m.policy.prefetches_issued = 180;
   EXPECT_DOUBLE_EQ(m.prefetch_traffic_ratio(), 1.8);
 }
 
 TEST(Metrics, SummaryMentionsKeyNumbers) {
-  Metrics m;
+  engine::Metrics m;
   m.accesses = 1000;
   m.misses = 250;
   const auto text = m.summary();

@@ -26,8 +26,8 @@ Trace zipfish_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-SimConfig no_prefetch_config(std::size_t blocks) {
-  SimConfig c;
+engine::EngineConfig no_prefetch_config(std::size_t blocks) {
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = PolicyKind::kNoPrefetch;
   return c;
@@ -59,7 +59,7 @@ TEST(Simulator, EmptyTraceProducesZeroMetrics) {
 
 TEST(Simulator, ResultCarriesNames) {
   const Trace t = zipfish_trace(100, 1);
-  SimConfig c = no_prefetch_config(8);
+  engine::EngineConfig c = no_prefetch_config(8);
   const auto r = simulate(c, t);
   EXPECT_EQ(r.trace_name, "zipfish");
   EXPECT_EQ(r.policy_name, "no-prefetch");
@@ -68,7 +68,7 @@ TEST(Simulator, ResultCarriesNames) {
 
 TEST(Simulator, DeterministicAcrossRuns) {
   const Trace t = zipfish_trace(20'000, 3);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = PolicyKind::kTreeNextLimit;
   const auto a = simulate(c, t);
@@ -82,7 +82,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
 
 TEST(Simulator, ResidencyNeverExceedsCapacity) {
   const Trace t = zipfish_trace(5'000, 4);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 32;
   c.policy.kind = PolicyKind::kTreeNextLimit;
   Simulator sim(c);
@@ -100,7 +100,7 @@ TEST(Simulator, ElapsedTimeAccountsMissesAndHits) {
   t.append(2);
   t.append(1);
   t.append(2);
-  SimConfig c = no_prefetch_config(8);
+  engine::EngineConfig c = no_prefetch_config(8);
   const auto r = simulate(c, t);
   const auto& tm = c.timing;
   const double expected = 4 * (tm.t_hit + tm.t_cpu)        // access periods
@@ -121,8 +121,8 @@ TEST(Simulator, PrefetchingReducesElapsedTimeOnPattern) {
       t.append(b);
     }
   }
-  SimConfig np = no_prefetch_config(16);
-  SimConfig tree = np;
+  engine::EngineConfig np = no_prefetch_config(16);
+  engine::EngineConfig tree = np;
   tree.policy.kind = PolicyKind::kTree;
   const auto r_np = simulate(np, t);
   const auto r_tree = simulate(tree, t);
@@ -143,7 +143,7 @@ TEST(Simulator, SmallestLegalCacheWorks) {
 TEST(Simulator, TreePolicySmallCacheStress) {
   // Tiny cache + aggressive prefetching: the reclaim logic must never
   // violate capacity or deadlock.
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 4;
   c.policy.kind = PolicyKind::kTreeNextLimit;
   const auto r = simulate(c, zipfish_trace(20'000, 9));

@@ -82,7 +82,6 @@ ATOMIC_FILES = {
     "src/obs/trace_ring.hpp",            # single-writer event ring
     "src/obs/trace_ring.cpp",
     "src/util/audit.cpp",                # audit-handler slot
-    "src/util/logging.cpp",              # log-level filter
     "src/util/phase.hpp",                # phase accumulation cells
     "src/util/spsc_queue.hpp",           # head/tail indices
 }

@@ -8,7 +8,7 @@ docs/static-analysis.md for the rationale behind each):
   hot-container     std::map / std::unordered_map / std::set /
                     std::unordered_set are banned in the hot-path dirs
                     (src/core/, src/cache/, src/obs/).  The hot-path overhaul
-                    replaced them with util::FlatMap / util::SmallVector; a
+                    replaced them with util::FlatMap; a
                     node-based container sneaking back in silently undoes
                     that PR.  src/obs/ counts as hot because the engine
                     publishes into it once per access.
@@ -16,8 +16,7 @@ docs/static-analysis.md for the rationale behind each):
                     make_shared) is banned in the hot-path dirs.  Setup-time
                     construction sites carry an explicit waiver.
   naked-new         naked new outside the hot dirs must also be waived
-                    (util::SmallVector's buffer management is the only
-                    legitimate owner today).
+                    (no site in src/ needs a waiver today).
   no-std-rand       std::rand / srand are banned everywhere in src/; all
                     randomness flows through util::SplitMix64 / Xoshiro256 so
                     runs stay reproducible from a seed.
@@ -312,7 +311,7 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> List[Violation]:
         if hot and HOT_CONTAINER_RE.search(line):
             report(i, "hot-container",
                    "node-based std container in a hot-path dir; "
-                   "use util::FlatMap / util::SmallVector")
+                   "use util::FlatMap")
         if hot and ALLOC_RE.search(line):
             report(i, "hot-alloc",
                    "heap allocation in a hot-path dir; hoist to setup "

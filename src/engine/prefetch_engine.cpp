@@ -6,7 +6,6 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
 
 #include "util/assert.hpp"
 #include "util/binary_io.hpp"
@@ -257,30 +256,17 @@ BatchResult PrefetchEngine::access_many(
 }
 
 void PrefetchEngine::run_trace(const trace::Trace& trace) {
-  // Fast path: replay through the batched loop.  Valid whenever the
-  // per-index state step() supplies is reproducible without the trace:
-  // `period` (the trace index) must equal the running access counter —
-  // true exactly when the engine starts fresh — and `upcoming` must be
-  // dead, which holds for every policy except the oracles.  Bit-identical
-  // on this path by the access_many contract; anything else replays
-  // through the indexed loop below.
-  if (metrics_.accesses == 0 &&
-      !core::policy::reads_upcoming(config_.policy.kind)) {
-    std::vector<trace::BlockId> blocks;
-    blocks.reserve(trace.size());
-    for (const trace::TraceRecord& record : trace.records()) {
-      blocks.push_back(record.block);
-    }
-    access_many(blocks);
-    return;
-  }
-  // One Context for the whole run; step_one refreshes the per-period
-  // fields (period, now_ms, upcoming) instead of rebuilding the struct
-  // of references every access.
+  // The batched loop with the trace index as `period` and the rest of
+  // the trace as `upcoming` (only the oracles read it).  On a fresh
+  // engine the index equals the running access counter, so this is the
+  // access_many stream; on a warm one it is the step() loop.
   Context ctx = make_context();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    step_one(trace[i].block, i, trace.records().subspan(i + 1), ctx);
+  const std::span<const trace::TraceRecord> records = trace.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    step_one(records[i].block, i, records.subspan(i + 1), ctx,
+             /*publish_each=*/false);
   }
+  publish_observability();
 }
 
 void PrefetchEngine::snapshot(std::ostream& out) const {

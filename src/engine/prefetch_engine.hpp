@@ -12,9 +12,9 @@
 //     if (r.outcome == engine::Outcome::kMiss) { ... }
 //   }
 //
-// The trace driver (sim::Simulator) is a thin shell over this class;
-// every entry point runs the same per-access step, so replay throughput
-// and embedded behaviour can never drift apart.
+// The trace driver (sim::simulate) is one run_trace() call on this
+// class; every entry point runs the same per-access step, so replay
+// throughput and embedded behaviour can never drift apart.
 // Layering: engine/ sits between core/ and sim/ and must not include
 // sim/ (enforced by scripts/lint/check_conventions.py).
 #pragma once
@@ -76,8 +76,7 @@ class PrefetchEngine {
   /// access).  Bit-identical to calling access() for each
   /// block in order — metrics, decisions and final observability all
   /// match; only the live-scrape granularity coarsens to batch
-  /// boundaries.  This is the shard workers' pull path and the fast
-  /// path run_trace() replays through.
+  /// boundaries.  This is the shard workers' pull path.
   BatchResult access_many(std::span<const trace::BlockId> blocks);
 
   /// Replay entry point for one trace position; identical to access()
@@ -85,7 +84,8 @@ class PrefetchEngine {
   void step(const trace::Trace& trace, std::size_t index);
 
   /// Replay entry point for a whole trace.  Bit-identical to calling
-  /// step() for each index in order.
+  /// step() for each index in order; like access_many() it publishes
+  /// observability once, at the end.
   void run_trace(const trace::Trace& trace);
 
   [[nodiscard]] const cache::BufferCache& buffer_cache() const noexcept {

@@ -7,11 +7,14 @@ namespace pfp::engine {
 
 namespace {
 
+/// Per-shard ring capacity for sharded tenants.
+constexpr std::size_t kTenantQueueCapacity = 8192;
+
 ShardedConfig sharded_config(const TenantConfig& config) {
   ShardedConfig sharded;
   sharded.engine = config.engine;
   sharded.shards = config.shards;
-  sharded.queue_capacity = config.queue_capacity;
+  sharded.queue_capacity = kTenantQueueCapacity;
   return sharded;
 }
 

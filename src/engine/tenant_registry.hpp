@@ -62,8 +62,6 @@ struct TenantConfig {
   /// many shards (contiguous stream runs per shard, the
   /// scale-out-replicas shape — see sharded_engine.hpp).
   std::uint32_t shards = 0;
-  /// Per-shard ring capacity for sharded tenants.
-  std::size_t queue_capacity = 8192;
 };
 
 /// Resolves a policy kind name ("tree-next-limit", "markov", ...) into

@@ -1,5 +1,7 @@
 #include "sim/experiment.hpp"
 
+#include <stdexcept>
+
 namespace pfp::sim {
 
 const std::vector<std::size_t>& default_cache_sizes() {
@@ -12,6 +14,9 @@ std::vector<Result> run_serial(const std::vector<RunSpec>& specs) {
   std::vector<Result> results;
   results.reserve(specs.size());
   for (const auto& spec : specs) {
+    if (spec.trace == nullptr) {
+      throw std::invalid_argument("run_serial: RunSpec without a trace");
+    }
     results.push_back(simulate(spec.config, *spec.trace));
   }
   return results;

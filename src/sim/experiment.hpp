@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -16,13 +15,14 @@ namespace pfp::sim {
 /// exhibits.
 const std::vector<std::size_t>& default_cache_sizes();
 
-/// One simulation request; Sweep runs batches of these.
+/// One simulation request; run_serial runs batches of these.
 struct RunSpec {
   const trace::Trace* trace = nullptr;  ///< non-owning; outlives the run
   engine::EngineConfig config;
 };
 
-/// Runs specs sequentially (see sweep.hpp for the threaded variant).
+/// Runs specs in order; results come back in spec order.  Throws
+/// std::invalid_argument on a spec without a trace.
 std::vector<Result> run_serial(const std::vector<RunSpec>& specs);
 
 /// Builds the full (cache size x policy) grid for one trace.

@@ -2,19 +2,15 @@
 
 namespace pfp::sim {
 
-Result Simulator::run(const trace::Trace& trace) {
-  engine_.run_trace(trace);
-  Result result;
-  result.config = engine_.config();
-  result.policy_name = engine_.prefetcher().name();
-  result.trace_name = trace.name();
-  result.metrics = engine_.metrics();
-  return result;
-}
-
 Result simulate(const engine::EngineConfig& config, const trace::Trace& trace) {
-  Simulator simulator(config);
-  return simulator.run(trace);
+  engine::PrefetchEngine eng(config);
+  eng.run_trace(trace);
+  Result result;
+  result.config = eng.config();
+  result.policy_name = eng.prefetcher().name();
+  result.trace_name = trace.name();
+  result.metrics = eng.metrics();
+  return result;
 }
 
 }  // namespace pfp::sim

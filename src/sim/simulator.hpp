@@ -1,10 +1,11 @@
 // The trace-driven simulator (Section 8).
 //
-// Thin replay driver over engine::PrefetchEngine: the per-access state
-// machine (cache lookup -> predictor update -> candidate enumeration ->
+// One call over engine::PrefetchEngine: the per-access state machine
+// (cache lookup -> predictor update -> candidate enumeration ->
 // cost-benefit decision -> prefetch issue -> eviction) and the Section 3
-// timing charges live in the engine; this class just feeds it a recorded
-// trace and assembles a Result.
+// timing charges live in the engine; simulate() replays a recorded trace
+// through a fresh engine and names the result.  Hosts that need live
+// state mid-run drive engine::PrefetchEngine::step() directly.
 #pragma once
 
 #include <string>
@@ -21,38 +22,7 @@ struct Result {
   engine::Metrics metrics;
 };
 
-class Simulator {
- public:
-  explicit Simulator(engine::EngineConfig config) : engine_(config) {}
-
-  /// Runs the whole trace; the simulator is single-use.
-  Result run(const trace::Trace& trace);
-
-  /// Access to live state mid-run (tests drive step() directly).
-  void step(const trace::Trace& trace, std::size_t index) {
-    engine_.step(trace, index);
-  }
-  [[nodiscard]] const cache::BufferCache& buffer_cache() const {
-    return engine_.buffer_cache();
-  }
-  [[nodiscard]] const engine::Metrics& metrics() const {
-    return engine_.metrics();
-  }
-  [[nodiscard]] const core::policy::Prefetcher& prefetcher() const {
-    return engine_.prefetcher();
-  }
-
-  /// The underlying engine, for hosts that outgrow the replay API.
-  [[nodiscard]] engine::PrefetchEngine& engine() noexcept { return engine_; }
-  [[nodiscard]] const engine::PrefetchEngine& engine() const noexcept {
-    return engine_;
-  }
-
- private:
-  engine::PrefetchEngine engine_;
-};
-
-/// Convenience: build and run in one call.
+/// Replays the whole trace through a fresh engine built from `config`.
 Result simulate(const engine::EngineConfig& config, const trace::Trace& trace);
 
 }  // namespace pfp::sim

@@ -1,83 +1,9 @@
 #include "util/histogram.hpp"
 
 #include <bit>
-#include <cmath>
 #include <sstream>
 
-#include "util/assert.hpp"
-
 namespace pfp::util {
-
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  PFP_REQUIRE(hi > lo);
-  PFP_REQUIRE(bins > 0);
-}
-
-void LinearHistogram::add(double x, std::uint64_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    idx = counts_.size() - 1;  // floating-point edge
-  }
-  counts_[idx] += weight;
-}
-
-double LinearHistogram::bin_lo(std::size_t i) const {
-  PFP_REQUIRE(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double LinearHistogram::bin_hi(std::size_t i) const {
-  return bin_lo(i) + width_;
-}
-
-double LinearHistogram::quantile(double q) const {
-  PFP_REQUIRE(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) {
-    return lo_;
-  }
-  const double target = q * static_cast<double>(total_);
-  double cumulative = static_cast<double>(underflow_);
-  if (cumulative >= target) {
-    return lo_;
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac =
-          (target - cumulative) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * width_;
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-void LinearHistogram::merge(const LinearHistogram& other) {
-  PFP_REQUIRE(lo_ == other.lo_ && hi_ == other.hi_ &&
-              counts_.size() == other.counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
-void LinearHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  underflow_ = overflow_ = total_ = 0;
-}
 
 void Log2Histogram::add(std::uint64_t x, std::uint64_t weight) {
   const std::size_t bucket =

@@ -1,4 +1,4 @@
-// Histograms for trace characterization and stack-distance profiling.
+// Log2 histogram for trace characterization (reuse distances).
 #pragma once
 
 #include <cstdint>
@@ -6,43 +6,6 @@
 #include <vector>
 
 namespace pfp::util {
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples land
-/// in underflow/overflow counters.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Value below which the given fraction q (0..1) of samples fall,
-  /// linearly interpolated within the bin.  Under/overflow samples clamp
-  /// to the range edges.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Folds another histogram in (per-shard aggregation).  Both sides must
-  /// have identical range and binning.
-  void merge(const LinearHistogram& other);
-
-  void reset();
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Power-of-two bucketed histogram for unbounded non-negative integer
 /// quantities (reuse distances, run lengths).  Bucket i holds values in

@@ -1,9 +1,9 @@
-// Fixed-size thread pool for independent simulation runs.
+// Fixed-size thread pool for long-running tasks.
 //
-// Every experiment is a sweep of independent (trace, policy, cache-size)
-// simulations; sim::Sweep submits each run here.  The pool is a classic
-// mutex/condvar work queue — the tasks are seconds long, so lock-free
-// queues would buy nothing.
+// It hosts the server's event loops (one task per loop), the sharded
+// engine's workers (one task per shard) and load_gen's client threads.
+// The pool is a classic mutex/condvar work queue — its tasks are few and
+// long-lived, so lock-free queues would buy nothing.
 #pragma once
 
 #include <condition_variable>

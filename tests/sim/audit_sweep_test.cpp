@@ -1,6 +1,6 @@
 // End-to-end SIM_AUDIT coverage: drive real simulations and sweep the
 // buffer-cache invariants periodically.  The unit detection tests prove
-// each audit *can* fire; this proves the real simulator keeps every
+// each audit *can* fire; this proves trace replay keeps every
 // invariant across all four paper workloads and the main policy shapes.
 // Skips when built without SIM_AUDIT (the sanitizer CI legs enable it).
 #include <gtest/gtest.h>
@@ -8,7 +8,7 @@
 #include <cstddef>
 
 #include "core/policy/factory.hpp"
-#include "sim/simulator.hpp"
+#include "engine/prefetch_engine.hpp"
 #include "trace/workloads.hpp"
 #include "util/audit.hpp"
 
@@ -33,18 +33,18 @@ TEST_P(SimulatorAuditSweep, InvariantsHoldThroughoutRun) {
     engine::EngineConfig config;
     config.cache_blocks = 64;
     config.policy.kind = kind;
-    Simulator simulator(config);
+    engine::PrefetchEngine eng(config);
     for (std::size_t i = 0; i < t.size(); ++i) {
-      simulator.step(t, i);
+      eng.step(t, i);
       if (i % 50 == 0) {
         // The default abort handler is active: a violated invariant kills
         // the test with the audit message rather than failing an EXPECT.
-        simulator.buffer_cache().audit();
-        simulator.prefetcher().audit();
+        eng.buffer_cache().audit();
+        eng.prefetcher().audit();
       }
     }
-    simulator.buffer_cache().audit();
-    simulator.prefetcher().audit();
+    eng.buffer_cache().audit();
+    eng.prefetcher().audit();
   }
 }
 

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/sweep.hpp"
+#include <stdexcept>
+
 #include "util/prng.hpp"
 
 namespace pfp::sim {
@@ -59,20 +60,13 @@ TEST(Experiment, RunSerialPreservesOrder) {
   EXPECT_GE(results[0].metrics.misses, results[1].metrics.misses);
 }
 
-TEST(Experiment, ParallelMatchesSerial) {
+TEST(Experiment, RunSerialRejectsNullTrace) {
   const Trace t = small_trace();
   PolicySpec np;
   np.kind = PolicyKind::kNoPrefetch;
-  PolicySpec tree;
-  tree.kind = PolicyKind::kTree;
-  const auto specs = grid(t, {16, 32}, {np, tree});
-  const auto serial = run_serial(specs);
-  const auto parallel = run_parallel(specs, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].metrics.misses, parallel[i].metrics.misses) << i;
-    EXPECT_EQ(serial[i].policy_name, parallel[i].policy_name) << i;
-  }
+  auto specs = grid(t, {8, 16, 32}, {np});
+  specs[1].trace = nullptr;
+  EXPECT_THROW(run_serial(specs), std::invalid_argument);
 }
 
 TEST(Experiment, DefaultReferencesMatchPaperScaling) {

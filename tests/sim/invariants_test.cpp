@@ -1,9 +1,9 @@
-// Step-level structural invariants of the simulator, checked after every
+// Step-level structural invariants of the engine, checked after every
 // single access across policies: pool accounting, cache disjointness, OBL
 // quota, and monotone counters.
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
+#include "engine/prefetch_engine.hpp"
 #include "trace/workloads.hpp"
 
 namespace pfp::sim {
@@ -18,13 +18,13 @@ TEST_P(StepInvariants, HoldAfterEveryAccess) {
   engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = GetParam();
-  Simulator sim(c);
+  engine::PrefetchEngine eng(c);
 
   std::uint64_t last_accesses = 0;
   for (std::size_t i = 0; i < t.size(); ++i) {
-    sim.step(t, i);
-    const auto& cache = sim.buffer_cache();
-    const auto& m = sim.metrics();
+    eng.step(t, i);
+    const auto& cache = eng.buffer_cache();
+    const auto& m = eng.metrics();
 
     // Pool accounting.
     ASSERT_LE(cache.resident(), cache.total_blocks());

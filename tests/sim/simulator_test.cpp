@@ -85,10 +85,10 @@ TEST(Simulator, ResidencyNeverExceedsCapacity) {
   engine::EngineConfig c;
   c.cache_blocks = 32;
   c.policy.kind = PolicyKind::kTreeNextLimit;
-  Simulator sim(c);
+  engine::PrefetchEngine eng(c);
   for (std::size_t i = 0; i < t.size(); ++i) {
-    sim.step(t, i);
-    ASSERT_LE(sim.buffer_cache().resident(), 32u);
+    eng.step(t, i);
+    ASSERT_LE(eng.buffer_cache().resident(), 32u);
   }
 }
 

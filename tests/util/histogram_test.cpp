@@ -5,68 +5,6 @@
 namespace pfp::util {
 namespace {
 
-TEST(LinearHistogram, BinsPartitionRange) {
-  LinearHistogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(LinearHistogram, AddRoutesToCorrectBin) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(9.999);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LinearHistogram, UnderflowOverflowTracked) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(LinearHistogram, WeightedAdd) {
-  LinearHistogram h(0.0, 10.0, 2);
-  h.add(1.0, 7);
-  EXPECT_EQ(h.bin_count(0), 7u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(LinearHistogram, MedianOfUniformFill) {
-  LinearHistogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.add(i + 0.5);
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.1), 10.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(LinearHistogram, QuantileOfEmptyIsLo) {
-  LinearHistogram h(5.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-}
-
-TEST(LinearHistogram, ResetClears) {
-  LinearHistogram h(0.0, 1.0, 2);
-  h.add(0.5);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.bin_count(0), 0u);
-  EXPECT_EQ(h.bin_count(1), 0u);
-}
-
 TEST(Log2Histogram, BucketBoundaries) {
   EXPECT_EQ(Log2Histogram::bucket_lo(0), 0u);
   EXPECT_EQ(Log2Histogram::bucket_hi(0), 0u);
@@ -107,37 +45,6 @@ TEST(Log2Histogram, ResetClears) {
   h.reset();
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.buckets(), 0u);
-}
-
-TEST(LinearHistogram, MergeSumsBinsAndOverflow) {
-  LinearHistogram a(0.0, 10.0, 5);
-  LinearHistogram b(0.0, 10.0, 5);
-  a.add(1.0);
-  a.add(-5.0);
-  b.add(1.5);
-  b.add(3.0);
-  b.add(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.bin_count(0), 2u);
-  EXPECT_EQ(a.bin_count(1), 1u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-  EXPECT_EQ(a.total(), 5u);
-}
-
-TEST(LinearHistogram, MergeWithEmptyIsIdentity) {
-  LinearHistogram a(0.0, 10.0, 5);
-  a.add(4.0);
-  LinearHistogram empty(0.0, 10.0, 5);
-  a.merge(empty);
-  EXPECT_EQ(a.total(), 1u);
-  EXPECT_EQ(a.bin_count(2), 1u);
-}
-
-TEST(LinearHistogram, MergeRejectsMismatchedBinning) {
-  LinearHistogram a(0.0, 10.0, 5);
-  LinearHistogram b(0.0, 10.0, 4);
-  EXPECT_DEATH(a.merge(b), "precondition");
 }
 
 TEST(Log2Histogram, SingleSampleQuantileBehaviour) {

@@ -27,6 +27,7 @@
 #include "engine/tenant_registry.hpp"
 #include "server/session.hpp"
 #include "server/wire.hpp"
+#include "util/binary_io.hpp"
 #include "util/net.hpp"
 #include "util/options.hpp"
 #include "util/prng.hpp"
@@ -79,11 +80,8 @@ class Client {
     if (!net::read_exact(sock_, head)) {
       throw std::runtime_error("load_gen: connection closed mid-reply");
     }
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(head[8]) |
-        (static_cast<std::uint32_t>(head[9]) << 8) |
-        (static_cast<std::uint32_t>(head[10]) << 16) |
-        (static_cast<std::uint32_t>(head[11]) << 24);
+    // payload_len sits at header offset 8 (docs/server.md frame layout).
+    const auto len = pfp::util::load_le<std::uint32_t>(head.data() + 8);
     std::vector<std::uint8_t> whole(head.begin(), head.end());
     whole.resize(wire::kHeaderSize + len);
     if (len > 0 &&

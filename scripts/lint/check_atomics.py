@@ -76,7 +76,7 @@ SOURCE_SUFFIXES = {".hpp", ".cpp"}
 # std::atomic or perform an atomic operation.  Keep sorted.
 ATOMIC_FILES = {
     "src/core/tree/prefetch_tree.cpp",   # uid counter for tree instances
-    "src/engine/sharded_engine.cpp",     # stop flag + processed counters
+    "src/engine/sharded_engine.cpp",     # stop flag, processed, park words
     "src/engine/sharded_engine.hpp",
     "src/obs/counters.hpp",              # single-writer cells + seqlock
     "src/obs/trace_ring.hpp",            # single-writer event ring
@@ -100,6 +100,15 @@ ORDERED_OPS = (
 AMBIGUOUS_OPS = {"clear", "wait", "store", "load", "exchange"}
 
 ATOMIC_DECL_RE = re.compile(r"\bstd\s*::\s*atomic(?:_flag\b|\s*<)")
+# The variable an `std::atomic<...> name{...};` declaration introduces;
+# ambiguous ops on that name count as atomic ops in allowlisted files.
+ATOMIC_NAME_RE = re.compile(
+    r"\bstd\s*::\s*atomic(?:_flag|\s*<[^;{}()]*>)\s+(\w+)\s*[{;=(]")
+# Receiver spellings assumed atomic in allowlisted files: trailing
+# underscore members, atomic locals and the conventional cell names.
+HEURISTIC_RECEIVERS = (r"\w*_", r"\w*atomic\w*", "counter", "cell",
+                       "version", "head", "tail", "next", "stop", "done",
+                       "processed", r"g_\w+")
 # A field guarded by a thread-role capability (not a mutex): the
 # capability expression names a role, e.g. PFP_GUARDED_BY(producer_role)
 # or PFP_GUARDED_BY(queue.consumer_role).  These are the cross-thread
@@ -260,7 +269,28 @@ def has_bare_waiver(raw_lines: Sequence[str], lineno: int, rule: str) -> bool:
     return False
 
 
-def check_file(root: pathlib.Path, path: pathlib.Path) -> List[Violation]:
+def declared_atomic_names(text: str) -> set:
+    """Names of the std::atomic variables and members `text` declares."""
+    return {m.group(1) for line in code_lines(text)
+            for m in ATOMIC_NAME_RE.finditer(line)}
+
+
+def receiver_re(atomic_names: Iterable[str]) -> "re.Pattern[str]":
+    """Matches a receiver whose LAST component looks atomic.
+
+    The component may follow any non-word character, so `a.b.c` and
+    `a->b.c` chains are judged by `c`, like a plain `c` receiver.
+    """
+    names = list(HEURISTIC_RECEIVERS) + sorted(
+        re.escape(name) for name in atomic_names)
+    return re.compile(r"(?:^|\W)(?:" + "|".join(names) + r")\s*$")
+
+
+def check_file(root: pathlib.Path, path: pathlib.Path,
+               atomic_names: Iterable[str] = ()) -> List[Violation]:
+    """Lints one file.  `atomic_names` adds atomic variable names declared
+    elsewhere (a header's members used in its .cpp); the file's own
+    declarations are always included."""
     rel = path.relative_to(root).as_posix()
     try:
         text = path.read_text(encoding="utf-8")
@@ -271,6 +301,8 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> List[Violation]:
     code = code_lines(text)
     file_waivers = set(ALLOW_FILE_RE.findall(text))
     allowlisted = rel in ATOMIC_FILES
+    atomic_receiver = receiver_re(
+        set(atomic_names) | declared_atomic_names(text))
 
     violations: List[Violation] = []
 
@@ -348,14 +380,11 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> List[Violation]:
                         and not allowlisted:
                     continue
                 # In allowlisted files, a known-atomic receiver spelling
-                # (trailing underscore members, atomic locals) is assumed;
-                # non-member calls like `out.clear()` on streams still
-                # need skipping.
-                if not re.search(
-                        r"(?:^|[^\w.])(?:\w*_|\w*atomic\w*|counter|cell|"
-                        r"version|head|tail|next|stop|done|processed|"
-                        r"g_\w+)\s*$",
-                        receiver.rstrip()):
+                # (a declared atomic's name, trailing underscore members,
+                # atomic locals) is assumed, also as the last component
+                # of a member chain; calls like `out.clear()` on streams
+                # still need skipping.
+                if not atomic_receiver.search(receiver.rstrip()):
                     continue
             uses_atomics = True
             if not has_order:
@@ -382,15 +411,31 @@ def iter_sources(root: pathlib.Path) -> Iterable[pathlib.Path]:
             yield path
 
 
+def allowlisted_atomic_names(root: pathlib.Path,
+                             paths: Iterable[pathlib.Path]) -> set:
+    """Atomic names declared anywhere in the allowlist, so a member
+    declared in a header is recognised where its .cpp uses it."""
+    names: set = set()
+    for path in paths:
+        if path.relative_to(root).as_posix() in ATOMIC_FILES:
+            try:
+                names |= declared_atomic_names(
+                    path.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError):
+                pass  # check_file reports the unreadable file
+    return names
+
+
 def run_regex(root: pathlib.Path) -> int:
     try:
         paths = list(iter_sources(root))
     except FileNotFoundError as err:
         print(f"check_atomics: error: {err}", file=sys.stderr)
         return 2
+    names = allowlisted_atomic_names(root, paths)
     violations: List[Violation] = []
     for path in paths:
-        violations.extend(check_file(root, path))
+        violations.extend(check_file(root, path, names))
     for violation in violations:
         print(violation)
     if violations:
@@ -534,8 +579,10 @@ def run_ast(root: pathlib.Path, strict: bool) -> int:
     # The AST pass covers operation sites; declarations, waiver grammar
     # and the allowlist are textual properties, so the regex rules still
     # run and the union is reported.
-    for path in iter_sources(root):
-        violations.extend(check_file(root, path))
+    paths = list(iter_sources(root))
+    names = allowlisted_atomic_names(root, paths)
+    for path in paths:
+        violations.extend(check_file(root, path, names))
 
     uniq = sorted(set(violations))
     for violation in uniq:
@@ -637,6 +684,17 @@ SELF_TEST_CASES = [
      "#define PFP_GUARDED_BY(x) __attribute__((guarded_by(x)))\n"
      "// mentions producer_role in prose only\n",
      None),
+    # A defaulted-order op on the last component of a member chain: the
+    # `.` before `processed` once hid it from the receiver match.
+    ("dotted-member-defaulted-load",
+     "src/engine/sharded_engine.cpp",
+     "void f(Shard& shard) { (void)shard.processed.load(); }\n",
+     "explicit-order"),
+    ("dotted-declared-atomic-defaulted-store",
+     "src/engine/sharded_engine.hpp",
+     "// writers: w  readers: r\nstd::atomic<bool> sleeping{false};\n"
+     "void f(S* s) { s->shard.sleeping.store(true); }\n",
+     "explicit-order"),
     ("comment-mention-clean",
      "src/core/policy/clean.cpp",
      "// std::atomic would be wrong here; see docs\nint x = 0;\n",

@@ -99,6 +99,50 @@ class ExplicitOrderRule(LintHarness):
             "void f(std::vector<int>& slots) { slots.clear(); }\n")
         self.assertEqual(self.rules(found), set())
 
+    def test_dotted_member_chain_fires(self) -> None:
+        # The last component of `a.b.c` is the receiver; the `.` before
+        # it once hid this form while `a->processed.load()` was caught.
+        found = self.lint_file(
+            "src/engine/sharded_engine.cpp",
+            "void f(Shard& shard) { (void)shard.processed.load(); }\n")
+        self.assertIn("explicit-order", self.rules(found))
+
+    def test_arrow_then_dot_chain_fires(self) -> None:
+        found = self.lint_file(
+            "src/engine/sharded_engine.cpp",
+            "void f(Engine* e) { e->shard.next.store(1); }\n")
+        self.assertIn("explicit-order", self.rules(found))
+
+    def test_declared_atomic_name_is_a_receiver(self) -> None:
+        # `sleeping` fits no naming heuristic; its declaration makes it
+        # an atomic receiver.
+        found = self.lint_file(
+            "src/engine/sharded_engine.hpp",
+            ROLES + "struct S { std::atomic<bool> sleeping{false}; };\n"
+            "void f(S& s) { s.sleeping.store(true); }\n")
+        self.assertIn("explicit-order", self.rules(found))
+
+    def test_header_declared_name_reaches_the_cpp(self) -> None:
+        self.lint_file(
+            "src/engine/sharded_engine.hpp",
+            ROLES + "struct S {\n  alignas(64) std::atomic<std::uint32_t>"
+            " wake_seq{0};\n};\n")
+        cpp = self.root / "src/engine/sharded_engine.cpp"
+        cpp.write_text("void f(S& s) { s.wake_seq.wait(0); }\n")
+        names = lint.allowlisted_atomic_names(
+            self.root, lint.iter_sources(self.root))
+        self.assertEqual(names, {"wake_seq"})
+        self.assertIn("explicit-order",
+                      self.rules(lint.check_file(self.root, cpp, names)))
+        self.assertEqual(lint.run_regex(self.root), 1)
+
+    def test_dotted_non_atomic_member_is_fine(self) -> None:
+        found = self.lint_file(
+            "src/engine/sharded_engine.cpp",
+            "void f(Shard& shard) { shard.queue.clear();"
+            " shard.results.wait(); }\n")
+        self.assertEqual(self.rules(found), set())
+
     def test_line_waiver_silences(self) -> None:
         found = self.lint_file(
             "src/util/spsc_queue.hpp",
@@ -299,9 +343,11 @@ class AllowlistRule(LintHarness):
 class WholeTree(LintHarness):
     def test_repo_src_is_clean_in_regex_mode(self) -> None:
         repo_root = pathlib.Path(__file__).resolve().parents[2]
+        paths = list(lint.iter_sources(repo_root))
+        names = lint.allowlisted_atomic_names(repo_root, paths)
         violations = []
-        for path in lint.iter_sources(repo_root):
-            violations.extend(lint.check_file(repo_root, path))
+        for path in paths:
+            violations.extend(lint.check_file(repo_root, path, names))
         self.assertEqual([str(v) for v in violations], [])
 
     def test_self_test_passes(self) -> None:

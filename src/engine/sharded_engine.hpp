@@ -13,12 +13,12 @@
 //
 // Each shard runs the full per-access state machine on its private
 // cache + predictor + estimators with no cross-shard synchronization at
-// all — the only shared state is the queue indices and a per-shard
-// processed counter.  Consequence (proven by test): every shard
-// reproduces bit-identically the metrics of a single PrefetchEngine fed
-// that shard's positional slices, and the merged metrics are a
-// deterministic, completion-order-independent fold of the per-shard
-// metrics.
+// all — the only shared state is the queue indices, a per-shard
+// processed counter and the per-shard park/wake words.  Consequence
+// (proven by test): every shard reproduces bit-identically the metrics
+// of a single PrefetchEngine fed that shard's positional slices, and
+// the merged metrics are a deterministic, completion-order-independent
+// fold of the per-shard metrics.
 //
 //   engine::ShardedEngine eng(config);       // spawns the shard workers
 //   for (...) eng.push(next_block());        // deals to shard queues
@@ -29,6 +29,11 @@
 // and hands each piece to its shard's ring with try_push_n, so the
 // per-element synchronization cost collapses to 1/piece-length of
 // push()'s.  Nothing is ever staged on the producer side.
+//
+// An idle worker spins briefly, then parks on a futex word until the
+// producer hands it work, so an idle engine costs no CPU.  flush() waits
+// the same way.  The handshake and its ordering proof are in
+// docs/perf.md, "Park and wake".
 //
 // push(), access_many(), flush() and the metrics accessors must be
 // called from one producer thread; the shards consume concurrently.
@@ -88,7 +93,8 @@ class ShardedEngine {
   /// Deals one reference to the shard that owns its stream position
   /// and pushes it onto that shard's queue, waiting with bounded
   /// exponential backoff (util::Backoff — spin tiers, then yield) when
-  /// the queue is full.  Producer thread only.
+  /// the queue is full, and wakes the shard's worker if it is parked.
+  /// Producer thread only.
   void push(trace::BlockId block);
 
   /// Batched entry point: splits the span at run boundaries and pushes
@@ -97,9 +103,10 @@ class ShardedEngine {
   /// mix of push() and access_many() calls.  Producer thread only.
   void access_many(std::span<const trace::BlockId> blocks);
 
-  /// Blocks until every dealt reference has been processed.  After
-  /// flush() returns, shard state reads are race-free (the workers are
-  /// parked on empty queues).
+  /// Blocks until every dealt reference has been processed: spins
+  /// briefly per shard, then parks until that shard's worker catches up.
+  /// After flush() returns, shard state reads are race-free (the workers
+  /// only poll their empty queues, then park).
   void flush();
 
   /// One shard's engine, for introspection; call flush() first.
@@ -133,15 +140,36 @@ class ShardedEngine {
   // queues they touch, worker() the consumer role.  A new method that
   // reads producer-guarded state (e.g. `pushed`) from a worker — or vice
   // versa — fails the -Werror=thread-safety CI leg.
+  //
+  // Each Shard is single-producer / single-consumer: the producer thread
+  // writes its ring tail, `pushed`, `producer_waiting` and `wake_seq`;
+  // the worker writes the ring head, `processed` and `sleeping`.  The two
+  // 64-byte-aligned groups keep the producer's per-piece `sleeping`
+  // check off the line the worker dirties once per batch.
   struct Shard {
     Shard(const EngineConfig& config, std::size_t queue_capacity)
         : engine(config), queue(queue_capacity) {}
     PrefetchEngine engine;
     util::SpscQueue<trace::BlockId> queue;
+    /// The worker's park word: it parks with wake_seq.wait(seen) and the
+    /// producer (or the destructor) bumps it and notifies to wake it.
+    // writers: producer thread (wake_worker, destructor)
+    // readers: shard worker thread (park)
+    alignas(64) std::atomic<std::uint32_t> wake_seq{0};
+    /// Set while the worker is about to park or parked; the producer
+    /// only bumps wake_seq (a syscall) when it reads true.
+    // writers: shard worker thread (park)
+    // readers: producer thread (wake_worker)
+    std::atomic<bool> sleeping{false};
     /// Accesses completed by the worker; release-published so flush()'s
-    /// acquire load orders subsequent shard-state reads.
+    /// acquire load orders subsequent shard-state reads.  flush() parks
+    /// on it.
     // writers: shard worker thread  readers: producer thread (flush)
-    std::atomic<std::uint64_t> processed{0};
+    alignas(64) std::atomic<std::uint64_t> processed{0};
+    /// Set while flush() is about to park or parked on `processed`; the
+    /// worker only notifies when it reads true.
+    // writers: producer thread (flush)  readers: shard worker thread
+    std::atomic<bool> producer_waiting{false};
     /// Accesses handed to the ring; producer-thread-only, no atomics
     /// needed.
     // writers: producer thread (push/push_run)  readers: producer thread
@@ -153,6 +181,17 @@ class ShardedEngine {
   };
 
   void worker(Shard& shard);
+  /// Worker side of the park handshake: blocks until the producer hands
+  /// the shard work or the destructor stops it.  Returns at once if work
+  /// or the stop raced in.
+  void park(Shard& shard);
+  /// Runs a popped run through the shard's engine, publishes it in
+  /// `processed` and wakes a parked flush().  Shard worker thread only.
+  static void complete(Shard& shard, std::span<const trace::BlockId> run);
+  /// Producer side of the park handshake, after every ring publication:
+  /// wakes the worker if it parked.  Costs one fence and no syscall when
+  /// the worker is awake.
+  static void wake_worker(Shard& shard);
   /// The shard that owns the next stream position.  Producer thread only
   /// (the position counter is producer state).
   [[nodiscard]] Shard& next_shard() noexcept {

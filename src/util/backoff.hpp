@@ -1,20 +1,24 @@
 // Bounded exponential backoff for spin-wait loops.
 //
-// The sharded engine's producer spins when a shard ring is full and the
-// shard workers spin when their ring is empty.  A raw yield loop burns a
-// full core while making no progress — on the 1-CPU container that core
-// is the one the stalled peer needs.  Backoff escalates through tiers:
+// The sharded engine waits in three places: its producer when a shard
+// ring is full, its producer in flush() until a shard catches up, and
+// each shard worker when its ring is empty.  All three first poll
+// cheaply, because the peer is usually mid-operation and about to make
+// the condition true:
 //
-//   tier 1  cpu_relax() bursts, doubling 1, 2, 4, ... up to
-//           2^kMaxSpinExponent pause instructions per wait() — cheap
-//           polling while the peer is probably mid-operation;
-//   tier 2  std::this_thread::yield() on every wait() after that — the
-//           waiter cedes its core to the scheduler instead of burning it.
+//   spin()  cpu_relax() bursts, doubling 1, 2, 4, ... up to
+//           2^kMaxSpinExponent pause instructions per call; returns
+//           false, without spinning, once that budget is spent;
+//   wait()  spin(), and once the budget is spent, yield the core to the
+//           scheduler on every call instead of burning it.
 //
-// The spin budget before the first yield is therefore bounded at
-// 2^(kMaxSpinExponent+1)-1 relaxes total, after which EVERY wait yields
-// (regression-tested in tests/util/backoff_test.cpp).  Call reset() after
-// the awaited condition holds so the next stall starts cheap again.
+// The spin budget is therefore bounded at 2^(kMaxSpinExponent+1)-1
+// relaxes in total (regression-tested in tests/util/backoff_test.cpp).
+// The ring-full wait uses wait(): its peer is busy by definition, so a
+// yield hands it the core.  The idle waits use spin() and then park on a
+// futex word (engine/sharded_engine.cpp), so an idle shard costs no CPU.
+// Call reset() after the awaited condition holds so the next stall starts
+// cheap again.
 #pragma once
 
 #include <cstdint>
@@ -39,37 +43,34 @@ inline void cpu_relax() noexcept {
 /// state.
 class Backoff {
  public:
-  /// Last spin tier: 2^6 = 64 relaxes, so the total pre-yield spin
-  /// budget is 1+2+...+64 = 127 relax instructions (~a few hundred ns).
+  /// Last spin tier: 2^6 = 64 relaxes, so the total spin budget is
+  /// 1+2+...+64 = 127 relax instructions (docs/perf.md, "Park and wake",
+  /// has its measured length).
   static constexpr std::uint32_t kMaxSpinExponent = 6;
 
-  /// Waits once at the current tier and escalates.  Returns true when
-  /// the wait ceded the core (yield tier), false for a spin-tier wait —
-  /// the return value exists so tests can pin the escalation contract
-  /// without intercepting the scheduler.
-  bool wait() noexcept {
-    if (round_ <= kMaxSpinExponent) {
-      const std::uint32_t spins = 1u << round_;
-      for (std::uint32_t i = 0; i < spins; ++i) {
-        cpu_relax();
-      }
-      ++round_;
+  /// Spins once at the current tier and escalates.  Returns false, and
+  /// spins no more, once the budget is spent: the caller should block.
+  bool spin() noexcept {
+    if (round_ > kMaxSpinExponent) {
       return false;
     }
-    std::this_thread::yield();
+    const std::uint32_t spins = 1u << round_;
+    for (std::uint32_t i = 0; i < spins; ++i) {
+      cpu_relax();
+    }
+    ++round_;
     return true;
+  }
+
+  /// spin() while the budget lasts, then yield on every call.
+  void wait() noexcept {
+    if (!spin()) {
+      std::this_thread::yield();
+    }
   }
 
   /// Back to the cheap tier; call when the awaited condition held.
   void reset() noexcept { round_ = 0; }
-
-  /// True once every further wait() yields instead of spinning.
-  [[nodiscard]] bool yielding() const noexcept {
-    return round_ > kMaxSpinExponent;
-  }
-
-  /// Completed waits since the last reset (saturates at the yield tier).
-  [[nodiscard]] std::uint32_t round() const noexcept { return round_; }
 
  private:
   std::uint32_t round_ = 0;

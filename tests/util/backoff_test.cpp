@@ -7,46 +7,34 @@
 namespace pfp::util {
 namespace {
 
-// The escalation contract the sharded engine's backpressure fix relies
-// on: a stalled producer (or worker) spins only a bounded number of
-// rounds, after which EVERY wait cedes the core via yield — it can
-// never burn a core unbounded (the regression ShardedEngine saw on the
-// 1-CPU container).
+// The escalation contract the sharded engine relies on: a waiter spins
+// only a bounded number of rounds.  After that spin() refuses (the idle
+// waits park instead) and EVERY wait() cedes the core via yield, so no
+// wait can burn a core unbounded.
 TEST(Backoff, SpinsBoundedRoundsThenAlwaysYields) {
   Backoff backoff;
-  // Spin tier: exponents 0..kMaxSpinExponent return false (no yield).
+  // Spin tier: exponents 0..kMaxSpinExponent spin.
   for (std::uint32_t i = 0; i <= Backoff::kMaxSpinExponent; ++i) {
-    EXPECT_FALSE(backoff.yielding());
-    EXPECT_FALSE(backoff.wait()) << "spin round " << i << " yielded early";
+    EXPECT_TRUE(backoff.spin()) << "spin round " << i << " refused early";
   }
-  // Yield tier: from here on, every single wait yields.
+  // Budget spent: from here on spin() refuses and wait() only yields,
+  // which leaves the budget spent.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(backoff.yielding());
-    EXPECT_TRUE(backoff.wait()) << "yield-tier wait " << i << " spun";
-  }
-}
-
-TEST(Backoff, RoundCounterSaturatesAtYieldTier) {
-  Backoff backoff;
-  for (std::uint32_t i = 0; i <= Backoff::kMaxSpinExponent; ++i) {
-    EXPECT_EQ(backoff.round(), i);
+    EXPECT_FALSE(backoff.spin()) << "spin " << i << " after the budget";
     backoff.wait();
   }
-  const std::uint32_t at_yield = backoff.round();
-  backoff.wait();
-  backoff.wait();
-  EXPECT_EQ(backoff.round(), at_yield);  // no further escalation state
+  EXPECT_FALSE(backoff.spin());
 }
 
 TEST(Backoff, ResetReturnsToCheapTier) {
   Backoff backoff;
-  while (!backoff.yielding()) {
-    backoff.wait();
+  while (backoff.spin()) {
   }
   backoff.reset();
-  EXPECT_FALSE(backoff.yielding());
-  EXPECT_EQ(backoff.round(), 0u);
-  EXPECT_FALSE(backoff.wait());  // first post-reset wait spins again
+  for (std::uint32_t i = 0; i <= Backoff::kMaxSpinExponent; ++i) {
+    EXPECT_TRUE(backoff.spin()) << "post-reset round " << i;
+  }
+  EXPECT_FALSE(backoff.spin());
 }
 
 TEST(Backoff, CpuRelaxIsCallable) {
